@@ -19,7 +19,7 @@ from .errors import (
     ConfigError,
     NegativeFlow,
 )
-from .oracle import formulate, solve as lp_solve
+from .oracle import DEFAULT_VERIFY_TOL, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
     numeric_d_interval,
@@ -36,9 +36,7 @@ from .regular import (
     raw_flows,
     stability_region_Q_check,
 )
-
-VERIFY_TOL = 1e-7
-FLOW_TOL = 1e-9
+from .validate import FLOW_ZERO_TOL
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
 
@@ -216,12 +214,11 @@ def _cmd_stability_d(args) -> int:
     if any(q != 1.0 for q in net.volumes):
         raise ConfigError("stability-d is defined for unit volumes")
     nodes = _parse_nodes(args.nodes, net.n)
+    template = docs.as_perturbed(net)
     rows = []
     for i in nodes:
         envelope = stability_bounds_d(net.n, i)
-        numeric = numeric_d_interval(
-            PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series), i
-        )
+        numeric = numeric_d_interval(template, i)
         rows.append((i, envelope, numeric))
     if args.format == "csv":
         _write(args, docs.stability_d_csv(rows))
@@ -233,14 +230,17 @@ def _cmd_stability_d(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+_SUITE_DEFAULTS = {
+    "n_values": [2, 3, 4, 5, 6, 7, 8],
+    "exponents": [1.0, 1.5, 2.0, 3.0],
+    "volumes": "unit",
+    "random_q": 0,
+}
+
+
 def _load_suite(path: str | None) -> dict:
     if path is None:
-        return {
-            "n_values": [2, 3, 4, 5, 6, 7, 8],
-            "exponents": [1.0, 1.5, 2.0, 3.0],
-            "volumes": "unit",
-            "random_q": 0,
-        }
+        return dict(_SUITE_DEFAULTS)
     import json as _json
 
     try:
@@ -252,11 +252,7 @@ def _load_suite(path: str | None) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("suite config must be an object")
-    doc.setdefault("n_values", [2, 3, 4, 5, 6, 7, 8])
-    doc.setdefault("exponents", [1.0, 1.5, 2.0, 3.0])
-    doc.setdefault("volumes", "unit")
-    doc.setdefault("random_q", 0)
-    return doc
+    return {**_SUITE_DEFAULTS, **doc}
 
 
 def _random_unit_region_volumes(rng: np.random.Generator, n: int) -> tuple[float, ...]:
@@ -287,7 +283,7 @@ def _verify_instance(n: int, series, volumes: tuple[float, ...]) -> dict:
     row.update(
         closed_form=sol.common_energy,
         gap=gap,
-        status="optimal" if gap <= VERIFY_TOL else "suboptimal",
+        status="optimal" if gap <= DEFAULT_VERIFY_TOL else "suboptimal",
     )
     return row
 
@@ -323,7 +319,7 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         _write(args, docs.verify_csv(rows))
     else:
-        _write(args, docs.json_dumps(docs.verify_document(rows, VERIFY_TOL)))
+        _write(args, docs.json_dumps(docs.verify_document(rows, DEFAULT_VERIFY_TOL)))
     return 0 if all(row["status"] == "optimal" for row in rows) else 3
 
 
@@ -338,7 +334,7 @@ def _sweep_point(net, kind: str, index: int, value: float):
             probe = RegularNetwork(net.n, tuple(volumes), net.series)
             flows = raw_flows(probe)
             min_flow = min(flows.values())
-            energy = node_energy_closed_form(probe) if min_flow >= -FLOW_TOL else None
+            energy = node_energy_closed_form(probe) if min_flow >= -FLOW_ZERO_TOL else None
             return energy, min_flow
         probe = PerturbedNetwork(net.n, net.shifts, tuple(volumes), net.series)
     else:
@@ -347,7 +343,7 @@ def _sweep_point(net, kind: str, index: int, value: float):
         probe = PerturbedNetwork(net.n, tuple(shifts), net.volumes, net.series)
     sol = solve_equal_energy(probe, check_flows=False)
     min_flow = sol.flow.min_entry()
-    energy = sol.common_energy if min_flow >= -FLOW_TOL else None
+    energy = sol.common_energy if min_flow >= -FLOW_ZERO_TOL else None
     return energy, min_flow
 
 

@@ -72,18 +72,20 @@ def build_cost_series(
 ) -> CostSeries:
     """Validate (coefficient, exponent) pairs and return a usable series.
 
-    Raises NegativeCoefficient or ExponentBelowOne for out-of-domain terms.
-    When the coefficients do not sum to 1 within 1e-12 the series is rescaled
-    if ``auto_normalize`` is set, otherwise NotNormalized is raised.
+    Raises NegativeCoefficient or ExponentBelowOne for out-of-domain or
+    non-finite terms.  When the coefficients do not sum to 1 within 1e-12 the
+    series is rescaled if ``auto_normalize`` is set, otherwise NotNormalized
+    is raised.
     """
     pairs = [(float(lam), float(a)) for lam, a in terms]
     if not pairs:
         raise NotNormalized("cost series needs at least one term")
     for k, (lam, a) in enumerate(pairs):
-        if lam < 0.0:
-            raise NegativeCoefficient(f"coefficient {lam} at term {k} is negative")
-        if a < 1.0:
-            raise ExponentBelowOne(f"exponent {a} at term {k} is below 1")
+        # written so that NaN fails the comparison
+        if not 0.0 <= lam < math.inf:
+            raise NegativeCoefficient(f"coefficient {lam} at term {k} is negative or not finite")
+        if not 1.0 <= a < math.inf:
+            raise ExponentBelowOne(f"exponent {a} at term {k} is below 1 or not finite")
     total = math.fsum(lam for lam, _ in pairs)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         if not auto_normalize:

@@ -22,7 +22,13 @@ CSV_DIGITS = 12
 def _real(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{where} must be a finite number, got {real}")
+    return real
 
 
 def parse_cost(doc: Any) -> CostSeries:
@@ -172,14 +178,6 @@ def solution_document(sol: EqualEnergySolution) -> dict:
 def solution_csv(sol: EqualEnergySolution) -> str:
     rows = [(i, j, value) for (i, j), value in sol.flow.items()]
     return csv_text("from,to,amount", rows)
-
-
-def lp_solution_document(lp_value: float, flow_items, iterations: int) -> dict:
-    return {
-        "flows": [{"from": i, "to": j, "amount": v} for (i, j), v in flow_items],
-        "objective": float(lp_value),
-        "iterations": int(iterations),
-    }
 
 
 def stability_d_document(

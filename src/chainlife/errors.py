@@ -51,7 +51,3 @@ class NoSignChange(ChainlifeError):
 
 class NumericalStall(ChainlifeError):
     """The simplex iteration exceeded its pivot budget or lost feasibility."""
-
-
-class ZeroEnergyNoFlow(ChainlifeError):
-    """Every node spends zero energy, so the lifetime is unbounded."""

@@ -1,8 +1,10 @@
 """Equal-energy routing and node-shift stability for perturbed chains.
 
 Node i sits at x_i = i - d_i with d_i in (-1, 1); a positive shift moves the
-node toward the collector.  The equal-energy flow solves a dense linear
-system built from conservation rows and pairwise energy-equality rows.  The
+node toward the collector.  The equal-energy flow solves the conservation
+and pairwise energy-equality balance equations with the same linear-time
+chain recurrence as the regular chain; the dense system of those rows is
+still assembled, as a test reference and for condition estimates.  The
 stability question is how far a single node may move before that flow stops
 being feasible, and hence stops solving the minimax energy problem.
 """
@@ -16,10 +18,8 @@ import numpy as np
 
 from .cost import CostSeries, Positions, transmission_cost
 from .errors import IndexOutOfRange, NegativeFlow, NoSignChange, SingularMatrix
-from .regular import EqualEnergySolution
-from .validate import FLOW_ZERO_TOL, FlowMatrix
+from .regular import EqualEnergySolution, _equal_energy_flows, _equal_energy_solution
 
-EQUAL_ENERGY_RESIDUAL_TOL = 1e-9
 BISECTION_TOL = 1e-10
 BRACKET_MARGIN = 1e-6
 
@@ -111,77 +111,19 @@ def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
     return SystemMatrix(matrix, rhs, ordering)
 
 
-def _lu_factor(matrix: np.ndarray) -> tuple[np.ndarray, list[int], float]:
-    # partial pivoting; the permutation sign rides along for the determinant
-    a = matrix.astype(float, copy=True)
-    size = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    perm = list(range(size))
-    sign = 1.0
-    for col in range(size):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= 1e-13 * scale:
-            cond = float(np.linalg.cond(matrix, 1))
-            raise SingularMatrix(
-                f"pivot {a[pivot_row, col]:.3e} in column {col} below threshold"
-                f" (1-norm condition estimate {cond:.3e})"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-            sign = -sign
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col] = factors
-        a[col + 1 :, col + 1 :] -= np.outer(factors, a[col, col + 1 :])
-    return a, perm, sign
-
-
-def _lu_solve(lu: np.ndarray, perm: Sequence[int], rhs: np.ndarray) -> np.ndarray:
-    size = lu.shape[0]
-    y = rhs[list(perm)].astype(float)
-    for row in range(size):
-        y[row] -= lu[row, :row] @ y[:row]
-    for row in range(size - 1, -1, -1):
-        y[row] = (y[row] - lu[row, row + 1 :] @ y[row + 1 :]) / lu[row, row]
-    return y
-
-
 def system_determinant(net: PerturbedNetwork) -> float:
-    """Determinant of the routing system matrix, from the pivoted factorization."""
-    system = assemble_system(net)
-    lu, _, sign = _lu_factor(system.m)
-    return sign * float(np.prod(np.diag(lu)))
+    """Determinant of the routing system matrix."""
+    return float(np.linalg.det(assemble_system(net).m))
 
 
-def _solve_raw(net: PerturbedNetwork) -> tuple[dict[tuple[int, int], float], list[float], float]:
-    n = net.n
+def _solve_raw(net: PerturbedNetwork, check_flows: bool = False) -> EqualEnergySolution:
     direct, left = _pair_costs(net)
-    if n == 1:
-        value = float(net.volumes[0])
-        energy = value * direct[1]
-        return {(1, 0): value}, [energy], energy
-    system = assemble_system(net)
-    lu, perm, _ = _lu_factor(system.m)
-    vector = _lu_solve(lu, perm, system.rhs)
-    q = {pair: float(vector[k]) for k, pair in enumerate(system.ordering)}
-    energies = []
-    for i in range(1, n + 1):
-        e = q[(i, 0)] * direct[i]
-        if i >= 2:
-            e += q[(i, i - 1)] * left[i]
-        energies.append(e)
-    peak = max(energies)
-    if peak - min(energies) > EQUAL_ENERGY_RESIDUAL_TOL * max(1.0, abs(peak)):
-        cond = float(np.linalg.cond(system.m, 1))
-        raise SingularMatrix(
-            f"energy spread {peak - min(energies):.3e} after solve"
-            f" (1-norm condition estimate {cond:.3e})"
-        )
-    return q, energies, float(np.mean(energies))
+    q, energy = _equal_energy_flows(net.volumes, direct, left)
+    return _equal_energy_solution(q, energy, direct, left, check_flows)
 
 
 def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> EqualEnergySolution:
-    """Solve the routing system and package the equal-energy flow.
+    """Solve the balance equations and package the equal-energy flow.
 
     Outside the stability region the system still has a unique solution but
     some component is negative and the flow no longer solves the minimax
@@ -189,12 +131,11 @@ def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> Equal
     NegativeFlow; disabling the check returns the signed solution for
     boundary exploration.
     """
-    q, energies, common = _solve_raw(net)
-    if check_flows:
-        worst = min(q, key=lambda key: q[key])
-        if q[worst] < -FLOW_ZERO_TOL:
-            raise NegativeFlow(worst, q[worst])
-    return EqualEnergySolution(FlowMatrix(net.n, q), tuple(energies), common)
+    try:
+        return _solve_raw(net, check_flows)
+    except SingularMatrix as exc:
+        cond = float(np.linalg.cond(assemble_system(net).m, 1))
+        raise SingularMatrix(f"{exc} (1-norm condition estimate {cond:.3e})") from None
 
 
 def node_energy_sn(net: PerturbedNetwork) -> float:
@@ -301,10 +242,9 @@ def numeric_d_interval(
         shifts[i - 1] = d
         probe = PerturbedNetwork(net.n, tuple(shifts), net.volumes, net.series)
         try:
-            q, _, _ = _solve_raw(probe)
-        except SingularMatrix:
+            return _solve_raw(probe).flow.min_entry()
+        except SingularMatrix:  # an ill-conditioned probe counts as infeasible
             return -math.inf
-        return min(q.values())
 
     if not min_flow(0.0) > 0.0:
         raise NegativeFlow((i, 0), min_flow(0.0), "solved flow not positive at d = 0")
@@ -354,17 +294,8 @@ def closed_form_a1(positions: Positions, volumes: Sequence[float]) -> EqualEnerg
         ) / (n * x[i] * x[i - 1])
         suffix = total - prefix
         q[(i, i - 1)] = ((i - 1) * suffix - (n - i + 1) * prefix) / (n * x[i - 1])
-    worst = min(q, key=lambda key: q[key])
-    if q[worst] < -FLOW_ZERO_TOL:
-        raise NegativeFlow(worst, q[worst])
-    flow = FlowMatrix(n, q)
-    energies = []
-    for i in range(1, n + 1):
-        e = flow.amount(i, 0) * x[i]
-        if i >= 2:
-            e += flow.amount(i, i - 1) * (x[i] - x[i - 1])
-        energies.append(e)
-    return EqualEnergySolution(flow, tuple(energies), float(np.mean(energies)))
+    left = [0.0] + [x[i] - x[i - 1] for i in range(1, n + 1)]
+    return _equal_energy_solution(q, total / n, list(x), left)
 
 
 def energy_bounds_perturbed(net: PerturbedNetwork) -> tuple[float, float]:

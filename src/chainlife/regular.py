@@ -1,11 +1,12 @@
-"""Closed-form equal-energy routing for the unit-spaced chain.
+"""Equal-energy routing for the unit-spaced chain.
 
 With node i at coordinate i and every node able to reach the collector
 directly, the minimal worst-case energy is attained by a flow in which each
 node splits its traffic between the collector and its left neighbour so
-that all nodes spend exactly the same energy per round.  This module
-evaluates that solution and the boundaries of the volume region where it
-stays feasible.
+that all nodes spend exactly the same energy per round.  This module holds
+the linear-time solve of that split, which shifted chains share, and the
+boundaries of the volume region where it stays feasible; the paper's closed
+forms for the common energy stay here as references.
 """
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cost import CostSeries, Positions, unit_hop_costs
-from .errors import DegenerateCoefficient, IndexOutOfRange, NegativeFlow
+from .errors import DegenerateCoefficient, IndexOutOfRange, NegativeFlow, SingularMatrix
 from .validate import FLOW_ZERO_TOL, FlowMatrix
 
 Q_CONSTRAINT_TOL = 1e-12
+EQUAL_ENERGY_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,77 @@ def _closed_form_energy(volumes: Sequence[float], hops: Sequence[float], e1: flo
     return total
 
 
+def _equal_energy_flows(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
+) -> tuple[dict[tuple[int, int], float], float]:
+    """Signed equal-energy flows on the chain support and their common energy E.
+
+    direct[i] and left[i] are node i's costs to reach the collector and node
+    i - 1 (index 0 unused).  Walking outward from node 1, the relay
+    q_{i+1,i} = a + b E picks up E / D_i - Q_i and is scaled by the
+    contracting factor 1 - L_i / D_i; the far end q_{n+1,n} = 0 fixes E, and
+    a second walk evaluates the direct flows at that E.  Entries may be
+    negative outside the feasible region.
+    """
+    n = len(volumes)
+    a = b = 0.0
+    try:
+        for i in range(1, n + 1):
+            shrink = 1.0 - left[i] / direct[i]
+            a = a * shrink - float(volumes[i - 1])
+            b = b * shrink + 1.0 / direct[i]
+        energy = -a / b
+    except ZeroDivisionError:
+        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    q: dict[tuple[int, int], float] = {}
+    relay = 0.0
+    for i in range(1, n + 1):
+        q[(i, 0)] = (energy - relay * left[i]) / direct[i]
+        relay += q[(i, 0)] - float(volumes[i - 1])
+    # the relays again, summed from the far end where they are small, so
+    # that each keeps its relative precision; node 1 sends on all it holds
+    relay = 0.0
+    for i in range(n, 1, -1):
+        relay += float(volumes[i - 1]) - q[(i, 0)]
+        q[(i, i - 1)] = relay
+    q[(1, 0)] = float(volumes[0]) + relay
+    return q, energy
+
+
+def _equal_energy_solution(
+    q: dict[tuple[int, int], float],
+    common: float,
+    direct: Sequence[float],
+    left: Sequence[float],
+    check_flows: bool = True,
+) -> EqualEnergySolution:
+    """Node energies and the flow, after the energy-spread and negative-flow checks.
+
+    SingularMatrix signals node energies that disagree or are not finite;
+    NegativeFlow, raised only with ``check_flows``, names the most negative
+    component.
+    """
+    energies = [
+        q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
+        for i in range(1, len(direct))
+    ]
+    peak = max(energies)
+    spread = peak - min(energies)
+    if not spread <= EQUAL_ENERGY_RESIDUAL_TOL * max(1.0, abs(peak)):
+        raise SingularMatrix(f"energy spread {spread:.3e} after solve")
+    if check_flows:
+        worst = min(q, key=lambda key: q[key])
+        if q[worst] < -FLOW_ZERO_TOL:
+            raise NegativeFlow(worst, q[worst])
+    return EqualEnergySolution(FlowMatrix(len(direct) - 1, q), tuple(energies), common)
+
+
+def _chain_costs(net: RegularNetwork) -> tuple[list[float], list[float]]:
+    # direct costs are the hop costs; every left hop has unit length
+    hops = net.hop_costs()
+    return hops, [hops[1]] * len(hops)
+
+
 def node_energy_recurrence(net: RegularNetwork) -> float:
     """Common energy by peeling one node at a time off the far end."""
     hops = net.hop_costs()
@@ -81,26 +154,9 @@ def node_energy_closed_form(net: RegularNetwork) -> float:
     return _closed_form_energy(net.volumes, net.hop_costs())
 
 
-def _flow_values(volumes: Sequence[float], hops: Sequence[float]) -> dict[tuple[int, int], float]:
-    # Unchecked evaluation of the equal-energy flow; entries may be negative
-    # outside the feasible volume region.  e1 is the unit hop cost, kept
-    # symbolic so the expressions stay exact for unnormalized series too.
-    n = len(volumes)
-    e1 = hops[1]
-    q: dict[tuple[int, int], float] = {}
-    q[(1, 0)] = _closed_form_energy(volumes, hops, e1)
-    for i in range(2, n + 1):
-        q[(i, 0)] = e1 / hops[i] * _closed_form_energy(volumes[: i - 1], hops, e1)
-    suffix = 0.0
-    for i in range(n, 1, -1):
-        suffix += float(volumes[i - 1]) - q[(i, 0)]
-        q[(i, i - 1)] = suffix
-    return q
-
-
 def raw_flows(net: RegularNetwork) -> dict[tuple[int, int], float]:
     """Flow components without feasibility checks; diagnostic use only."""
-    return _flow_values(net.volumes, net.hop_costs())
+    return _equal_energy_flows(net.volumes, *_chain_costs(net))[0]
 
 
 def flow_closed_form(net: RegularNetwork) -> EqualEnergySolution:
@@ -109,19 +165,9 @@ def flow_closed_form(net: RegularNetwork) -> EqualEnergySolution:
     Raises NegativeFlow naming the most negative component when the volumes
     lie outside the feasibility region described by q_n_min and q_i_max.
     """
-    hops = net.hop_costs()
-    q = _flow_values(net.volumes, hops)
-    worst = min(q, key=lambda key: q[key])
-    if q[worst] < -FLOW_ZERO_TOL:
-        raise NegativeFlow(worst, q[worst])
-    flow = FlowMatrix(net.n, q)
-    energies = []
-    for i in range(1, net.n + 1):
-        e = flow.amount(i, 0) * hops[i]
-        if i >= 2:
-            e += flow.amount(i, i - 1) * hops[1]
-        energies.append(e)
-    return EqualEnergySolution(flow, tuple(energies), q[(1, 0)] * hops[1])
+    direct, left = _chain_costs(net)
+    q, energy = _equal_energy_flows(net.volumes, direct, left)
+    return _equal_energy_solution(q, energy, direct, left)
 
 
 def harmonic_flow_a2(i: int, n: int) -> float:
@@ -138,18 +184,17 @@ def harmonic_flow_a2(i: int, n: int) -> float:
 def check_q_constraints(net: RegularNetwork) -> bool:
     """Feasibility of the volume vector for the equal-energy construction.
 
-    Requires Q_1 >= 1 and each later volume to exceed the energy the prefix
-    network already forces, scaled by that node's direct hop cost.  Strict
-    inequalities are tested with a 1e-12 slack.
+    Requires Q_1 >= 1 and each later volume to exceed its own direct flow,
+    which the prefix network already forces, so that every node adds to the
+    relay stream toward the collector.  Strict inequalities are tested with
+    a 1e-12 slack.
     """
-    hops = net.hop_costs()
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    for i in range(1, net.n):
-        bound = _closed_form_energy(net.volumes[:i], hops) / hops[i + 1]
-        if not net.volumes[i] > bound - Q_CONSTRAINT_TOL:
-            return False
-    return True
+    q = raw_flows(net)
+    return all(
+        net.volumes[i - 1] > q[(i, 0)] - Q_CONSTRAINT_TOL for i in range(2, net.n + 1)
+    )
 
 
 def q_n_min(net: RegularNetwork) -> float:
@@ -172,12 +217,12 @@ def q_i_max(net: RegularNetwork, i: int) -> float:
     """
     if not 1 <= i <= net.n - 1:
         raise IndexOutOfRange(f"node {i} outside [1, {net.n - 1}]")
-    hops = net.hop_costs()
+    direct, left = _chain_costs(net)
 
     def component(value: float) -> float:
         volumes = list(net.volumes)
         volumes[i - 1] = value
-        return _flow_values(volumes, hops)[(i + 1, i)]
+        return _equal_energy_flows(volumes, direct, left)[0][(i + 1, i)]
 
     at_zero = component(0.0)
     slope = component(1.0) - at_zero

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import chainlife
 from chainlife.cli import main
 
 
@@ -90,6 +92,35 @@ def test_out_of_region_interior_volume(write_config, capsys):
     err = capsys.readouterr().err
     assert "q[2,1]" in err
     assert "Q_1" in err and "exceeds the maximum 5.6666" in err
+
+
+@pytest.mark.parametrize("command", ["solve-regular", "solve-perturbed"])
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("lambda", "NaN"),
+        ("volume", "Infinity"),
+        ("volume", "-Infinity"),
+        ("shift", "NaN"),
+        pytest.param("volume", "1" + "0" * 400, id="volume-huge-integer"),
+    ],
+)
+def test_non_finite_input_is_config_error(tmp_path, capsys, command, field, text):
+    # json accepts NaN and Infinity literals; the document parser must not.
+    # An exception escaping main would be the traceback a user sees.
+    lam = text if field == "lambda" else "1.0"
+    volume = text if field == "volume" else "1"
+    shift = text if field == "shift" else "0"
+    path = tmp_path / "net.json"
+    path.write_text(
+        f'{{"n": 3, "volumes": [{volume}, 1, 1], "shifts": [{shift}, 0, 0],'
+        f' "cost": {{"terms": [{{"lambda": {lam}, "exponent": 2.0}}]}}}}'
+    )
+    assert main([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
 
 
 def test_solve_perturbed_accepts_regular_config(write_config, capsys):
@@ -208,10 +239,15 @@ def test_sweep_grid_validation(write_config, capsys):
 
 def test_module_entry_point(write_config, tmp_path):
     path = write_config("net.json", quadratic_chain(2))
+    # the child imports the same chainlife as this test, installed or not
+    src = os.path.dirname(os.path.dirname(chainlife.__file__))
+    path_list = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_list))
     proc = subprocess.run(
         [sys.executable, "-m", "chainlife", "solve-regular", "--input", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["common_energy"] == 1.75

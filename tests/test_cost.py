@@ -40,6 +40,14 @@ def test_rejects_exponent_below_one():
         build_cost_series([(1.0, 0.99)])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_terms(value):
+    with pytest.raises(NegativeCoefficient):
+        build_cost_series([(value, 2.0)])
+    with pytest.raises(ExponentBelowOne):
+        build_cost_series([(1.0, value)])
+
+
 def test_rejects_unnormalized_without_flag():
     with pytest.raises(NotNormalized):
         build_cost_series([(0.7, 1.0), (0.7, 2.0)])

@@ -12,6 +12,7 @@ from chainlife import (
     PerturbedNetwork,
     Positions,
     RegularNetwork,
+    SingularMatrix,
     assemble_system,
     closed_form_a1,
     energy_bounds_perturbed,
@@ -24,7 +25,7 @@ from chainlife import (
     stability_bounds_d,
     system_determinant,
 )
-from chainlife.perturbed import _lu_factor, _lu_solve
+from chainlife.validate import check_conservation
 
 from helpers import random_series, unit_region_volumes
 
@@ -89,16 +90,44 @@ def test_determinant_matches_numpy():
         )
 
 
-def test_lu_solver_matches_numpy():
+def test_solver_matches_dense_reference():
+    # the O(n) recurrence against a dense solve of the assembled system,
+    # signed solutions included
     rng = np.random.default_rng(11011)
-    for _ in range(30):
-        size = int(rng.integers(1, 9))
-        matrix = rng.normal(size=(size, size)) + np.eye(size) * 0.5
-        rhs = rng.normal(size=size)
-        lu, perm, _ = _lu_factor(matrix)
-        np.testing.assert_allclose(
-            _lu_solve(lu, perm, rhs), np.linalg.solve(matrix, rhs), atol=1e-9
-        )
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        shifts = tuple(float(d) for d in rng.uniform(-0.3, 0.3, size=n))
+        net = PerturbedNetwork(n, shifts, unit_region_volumes(rng, n), random_series(rng))
+        system = assemble_system(net)
+        expected = np.linalg.solve(system.m, system.rhs)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        sol = solve_equal_energy(net, check_flows=False)
+        for k, pair in enumerate(system.ordering):
+            assert abs(sol.flow.amount(*pair) - expected[k]) <= 1e-12 * scale, (n, pair)
+
+
+def test_large_chains_keep_equal_energy():
+    # both solve paths run the energy-spread check inside; shifts of 1e-4
+    # already leave the stability region at this size, so the shifted
+    # solution is taken signed
+    n = 10000
+    rng = np.random.default_rng(20000)
+    volumes = unit_region_volumes(rng, n)
+    series = random_series(rng)
+    shifts = tuple(float(d) for d in rng.uniform(-1e-4, 1e-4, size=n))
+    for sol in (
+        flow_closed_form(RegularNetwork(n, volumes, series)),
+        solve_equal_energy(PerturbedNetwork(n, shifts, volumes, series), check_flows=False),
+    ):
+        residual = float(np.max(np.abs(check_conservation(sol.flow, volumes))))
+        assert residual <= 1e-9 * max(1.0, max(volumes))
+
+
+def test_zero_hop_cost_is_singular():
+    # node 1 a float step away from the collector: its cost underflows to 0
+    net = PerturbedNetwork(2, (1.0 - 2.0**-53, 0.0), (1.0, 1.0), single_exponent_series(1000.0))
+    with pytest.raises(SingularMatrix):
+        solve_equal_energy(net)
 
 
 def test_zero_shift_solution_matches_regular_closed_form():

@@ -23,6 +23,7 @@ from chainlife import (
     single_exponent_series,
     stability_region_Q_check,
 )
+from chainlife.regular import _closed_form_energy
 
 from helpers import random_positive_volumes, random_series, unit_region_volumes
 
@@ -208,3 +209,49 @@ def test_degenerate_boundary_is_reported():
 def test_raw_flows_outside_region_are_signed():
     flows = raw_flows(RegularNetwork(2, (1.0, 0.1), single_exponent_series(2.0)))
     assert flows[(2, 1)] == pytest.approx(-0.15, abs=1e-12)
+
+
+def test_raw_flows_match_paper_formula():
+    # q_{i,0} = e1 / h_i * E_{i-1}, with E_{i-1} the common energy of the
+    # first i - 1 nodes; this holds outside the volume region as well
+    rng = np.random.default_rng(474747)
+    for k in range(100):
+        n = int(rng.integers(2, 30))
+        net = RegularNetwork(n, random_positive_volumes(rng, n), random_series(rng))
+        if k % 2:  # half the cases push the far node below its minimum volume
+            net = RegularNetwork(n, net.volumes[:-1] + (0.5 * q_n_min(net),), net.series)
+        hops = net.hop_costs()
+        e1 = hops[1]
+        flows = raw_flows(net)
+        if k % 2:
+            assert flows[(n, n - 1)] < 0.0
+        assert flows[(1, 0)] == pytest.approx(
+            _closed_form_energy(net.volumes, hops, e1), rel=1e-12
+        )
+        for i in range(2, n + 1):
+            expected = e1 / hops[i] * _closed_form_energy(net.volumes[: i - 1], hops, e1)
+            assert flows[(i, 0)] == pytest.approx(expected, rel=1e-12, abs=1e-12), (n, i)
+
+
+def test_far_end_volume_bounds_keep_precision():
+    # near the far end q_{i+1,i} barely depends on Q_i, so q_i_max divides
+    # by a small slope; reference: the same two-point root on the paper's
+    # relay sum_{j>i} (Q_j - e1 / h_j * E_{j-1})
+    n = 1000
+    rng = np.random.default_rng(985)
+    net = RegularNetwork(n, unit_region_volumes(rng, n), random_series(rng))
+    hops = net.hop_costs()
+    e1 = hops[1]
+    for i in (n - 46, n - 15, n - 1):
+
+        def relay(value: float) -> float:
+            volumes = list(net.volumes)
+            volumes[i - 1] = value
+            return math.fsum(
+                volumes[j - 1] - e1 / hops[j] * _closed_form_energy(volumes[: j - 1], hops, e1)
+                for j in range(i + 1, n + 1)
+            )
+
+        at_zero = relay(0.0)
+        expected = -at_zero / (relay(1.0) - at_zero)
+        assert q_i_max(net, i) == pytest.approx(expected, rel=1e-9), i
