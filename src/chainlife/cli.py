@@ -1,5 +1,9 @@
 """Command-line front end.
 
+verify proves each closed-form split optimal with the LP dual certificate
+of chainlife.oracle; its ``lp`` column is the certified dual bound, or the
+simplex optimum for instances outside the volume region.
+
 Exit codes: 0 success, 1 bad configuration or arguments, 2 volumes or
 shifts outside the feasible region (a routing flow went negative),
 3 verification failure or numerical breakdown.
@@ -19,7 +23,8 @@ from .errors import (
     ConfigError,
     NegativeFlow,
 )
-from .oracle import DEFAULT_VERIFY_TOL, formulate, solve as lp_solve
+from .cost import CostSeries, series_to_terms, single_exponent_series, transmission_cost
+from .oracle import DEFAULT_VERIFY_TOL, certify, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
     numeric_d_interval,
@@ -69,7 +74,9 @@ def _build_parser() -> _Parser:
     d_cmd = add("stability-d", _cmd_stability_d, "admissible single-node shift intervals")
     d_cmd.add_argument("--nodes", default="all", help="comma list of node indices, or 'all'")
 
-    v_cmd = add("verify", _cmd_verify, "check closed-form flows against the reference optimizer")
+    v_cmd = add(
+        "verify", _cmd_verify, "prove closed-form flows optimal with an LP dual certificate"
+    )
     v_cmd.add_argument("--seed", type=int, default=0, help="seed for randomized volume draws")
 
     s_cmd = add("sweep", _cmd_sweep, "scan one volume or shift over a grid")
@@ -263,57 +270,87 @@ def _random_unit_region_volumes(rng: np.random.Generator, n: int) -> tuple[float
             return tuple(float(v) for v in q)
 
 
-def _verify_instance(n: int, series, volumes: tuple[float, ...]) -> dict:
-    from .cost import series_to_terms
+def _suite_count(value, where: str) -> int:
+    count = docs._real(value, where)
+    if count < 0.0 or not count.is_integer():
+        raise ConfigError(f"{where} must be a non-negative integer")
+    return int(count)
 
+
+def _suite_series(value, k: int, n: int) -> CostSeries:
+    exponent = docs._real(value, f"suite exponents[{k}]")
+    try:
+        series = single_exponent_series(exponent)
+        transmission_cost(series, 0.0, float(n))  # the longest hop of the chain
+    except ChainlifeError as exc:
+        raise ConfigError(f"invalid suite exponent: {exc}") from exc
+    return series
+
+
+def _suite_volumes(volumes, n: int) -> list[tuple[float, ...]]:
+    if volumes == "unit":
+        return [(1.0,) * n]
+    if not isinstance(volumes, list):
+        raise ConfigError("suite volumes must be 'unit' or a list of vectors")
+    cases = []
+    for k, vec in enumerate(volumes):
+        if not isinstance(vec, list) or len(vec) != n:
+            raise ConfigError(f"suite volume vectors must have length n={n}")
+        q = tuple(docs._real(v, f"suite volumes[{k}][{m}]") for m, v in enumerate(vec))
+        if min(q) <= 0.0:
+            raise ConfigError(f"suite volumes[{k}] must be positive")
+        cases.append(q)
+    return cases
+
+
+def _verify_instance(n: int, series: CostSeries, volumes: tuple[float, ...]) -> dict:
+    """One verify row; ``lp`` is the certified dual bound inside the region."""
     net = RegularNetwork(n, volumes, series)
-    lp = lp_solve(formulate(net))
-    row = {
-        "n": n,
-        "series": series_to_terms(series),
-        "volumes": [float(v) for v in volumes],
-        "lp": lp.value,
-    }
+    inst = formulate(net)
+    head = {"n": n, "series": series_to_terms(series), "volumes": [float(v) for v in volumes]}
     try:
         sol = flow_closed_form(net)
     except NegativeFlow:
-        row.update(closed_form=None, gap=None, status="outside_region")
-        return row
-    gap = abs(sol.common_energy - lp.value)
-    row.update(
-        closed_form=sol.common_energy,
-        gap=gap,
-        status="optimal" if gap <= DEFAULT_VERIFY_TOL else "suboptimal",
-    )
-    return row
+        # no equal-energy split to certify: report the simplex optimum
+        lp = lp_solve(inst).value
+        return {**head, "lp": lp, "closed_form": None, "gap": None, "status": "outside_region"}
+    cert = certify(inst)
+    gap = abs(sol.common_energy - cert.bound)
+    optimal = gap <= DEFAULT_VERIFY_TOL and cert.slack <= DEFAULT_VERIFY_TOL
+    if not optimal:
+        cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in series.terms)
+        print(
+            f"error: no optimality certificate for n={n}, cost {cost}: arc {cert.arc} "
+            f"has dual slack {cert.slack:.6g}, |closed form - bound| = {gap:.6g}",
+            file=sys.stderr,
+        )
+    return {
+        **head,
+        "lp": cert.bound,
+        "closed_form": sol.common_energy,
+        "gap": gap,
+        "status": "optimal" if optimal else "suboptimal",
+    }
 
 
 def _cmd_verify(args) -> int:
     suite = _load_suite(args.input)
-    rng = np.random.default_rng(args.seed)
-    from .cost import single_exponent_series
-
+    n_values, exponents = suite["n_values"], suite["exponents"]
+    if not isinstance(n_values, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
+    ):
+        raise ConfigError("suite n_values must be positive integers")
+    if not isinstance(exponents, list):
+        raise ConfigError("suite exponents must be a list of numbers")
+    draws = _suite_count(suite["random_q"], "suite random_q")
+    # creating a generator imports numpy.random; a suite without draws skips it
+    rng = np.random.default_rng(args.seed) if draws else None
     rows = []
-    for n in suite["n_values"]:
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("suite n_values must be positive integers")
-        for a in suite["exponents"]:
-            series = single_exponent_series(float(a))
-            cases: list[tuple[float, ...]] = []
-            volumes = suite["volumes"]
-            if volumes == "unit":
-                cases.append((1.0,) * n)
-            elif isinstance(volumes, list):
-                for vec in volumes:
-                    if not isinstance(vec, list) or len(vec) != n:
-                        raise ConfigError(
-                            f"suite volume vectors must have length n={n}"
-                        )
-                    cases.append(tuple(float(v) for v in vec))
-            else:
-                raise ConfigError("suite volumes must be 'unit' or a list of vectors")
-            for _ in range(int(suite["random_q"])):
-                cases.append(_random_unit_region_volumes(rng, n))
+    for n in n_values:
+        for k, a in enumerate(exponents):
+            series = _suite_series(a, k, n)
+            cases = _suite_volumes(suite["volumes"], n)
+            cases += [_random_unit_region_volumes(rng, n) for _ in range(draws)]
             for q in cases:
                 rows.append(_verify_instance(n, series, q))
     if args.format == "csv":

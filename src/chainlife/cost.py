@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ExponentBelowOne, NegativeCoefficient, NotNormalized
+from .errors import ChainlifeError, ExponentBelowOne, NegativeCoefficient, NotNormalized
 
 NORMALIZATION_TOL = 1e-12
 SUPERADDITIVITY_TOL = 1e-12
@@ -105,12 +105,18 @@ def transmission_cost(series: CostSeries, xi: float, xj: float) -> float:
     """Energy per unit of data sent between coordinates xi and xj.
 
     The distance power is evaluated only for positive distance; a zero
-    distance costs nothing regardless of exponents.
+    distance costs nothing regardless of exponents.  A cost beyond the float
+    range raises ChainlifeError.
     """
     s = abs(xi - xj)
     if s == 0.0:
         return 0.0
-    return math.fsum(lam * s**a for lam, a in series.terms)
+    try:
+        return math.fsum(lam * s**a for lam, a in series.terms)
+    except OverflowError:
+        raise ChainlifeError(
+            f"transmission cost over distance {s:.6g} exceeds the float range"
+        ) from None
 
 
 def unit_hop_costs(series: CostSeries, n: int) -> list[float]:

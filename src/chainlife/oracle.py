@@ -1,18 +1,23 @@
-"""Minimax-energy linear program used as independent ground truth.
+"""Minimax-energy linear program: a dual certificate and an independent simplex.
 
 The closed-form solvers claim to minimize the worst per-node energy.  This
 module states that claim as a plain linear program over all directed flows
-(epigraph variable t bounding every node's energy) and solves it with a
-self-contained dense simplex.  Nothing here reuses the closed forms, so
-agreement between the two routes is meaningful evidence.
+(epigraph variable t bounding every node's energy).  :func:`certify` proves
+a claimed optimum per instance: on the chain support the LP dual has a
+closed form, and any dual-feasible point bounds the optimum from below, so a
+bound equal to the claimed energy with no violated arc is a proof.  That is
+an O(n^2) check, and it is what ``chainlife verify`` runs.
 
-The simplex is deliberately boring: bounded tableau, Bland's rule for both
-the entering and the leaving choice, fixed pivot tolerance.  That trades
-speed for determinism and for immunity to cycling, which is the right trade
-at the instance sizes this package targets.
+:func:`solve` is a self-contained dense simplex that reuses nothing from the
+closed forms, so agreement between the two routes is meaningful evidence;
+the tests use it as the cross-check.  It is deliberately boring: bounded
+tableau, Bland's rule for both the entering and the leaving choice, fixed
+pivot tolerance.  That trades speed for determinism and for immunity to
+cycling, which is the right trade at the small sizes it serves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -43,6 +48,20 @@ class LpSolution:
     value: float
     flow: FlowMatrix
     iterations: int
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Dual point built from the chain support, judged on every admissible arc.
+
+    ``bound`` is its dual objective, a lower bound on the LP optimum when
+    ``slack`` (the largest dual constraint violation, found on ``arc``) is
+    not positive.
+    """
+
+    bound: float
+    slack: float
+    arc: tuple[int, int]
 
 
 class VerdictStatus(Enum):
@@ -104,6 +123,47 @@ def formulate(
     return LpInstance(n, tuple(float(q) for q in net.volumes), tuple(chosen), costs)
 
 
+def certify(inst: LpInstance) -> Certificate:
+    """Optimality certificate for the equal-energy split, from LP duality.
+
+    The dual of  min t  subject to conservation, node energy <= t and
+    flows >= 0  is  max sum_i Q_i pi_i  over potentials pi (pi_0 = 0) and
+    energy multipliers mu >= 0 with sum mu = 1, subject to
+    pi_i - pi_j <= mu_i c_ij  on every admissible arc (i, j).  Complementary
+    slackness on the chain-support arcs (i, 0) and (i, i-1) gives
+    pi_i = mu_i D_i and pi_i - pi_{i-1} = mu_i L_i, with D_i = c_{i,0} and
+    L_i = c_{i,i-1}, hence pi_i = pi_{i-1} D_i / (D_i - L_i) from pi_1 = D_1.
+    The recursion runs on the potentials, which stay moderate where the
+    multipliers mu_i = pi_i / D_i would underflow at large exponents.
+
+    By weak duality (Chang and Tassiulas, IEEE/ACM ToN 12(4), 2004) the
+    bound is at most the LP optimum when the worst slack is not positive,
+    so a bound equal to a feasible flow's worst energy proves that flow
+    optimal.  When some hop to the left neighbour costs at least the direct
+    arc (a cost series that is not superadditive), no nonnegative multiplier
+    exists: the certificate reports infinite slack on that hop and bound 0.
+    """
+    n, costs = inst.n, inst.costs
+    direct = costs[1:, 0]
+    hop = np.arange(2, n + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        growth = direct[1:] / (direct[1:] - costs[hop, hop - 1])
+        pi = np.concatenate(([0.0], direct[0] * np.cumprod(np.concatenate(([1.0], growth)))))
+        mu = np.concatenate(([0.0, 1.0], pi[2:] / direct[1:]))
+    broken = np.flatnonzero(~(np.isfinite(pi) & np.isfinite(mu) & (mu >= 0.0)))
+    if broken.size:
+        i = int(broken[0])
+        return Certificate(0.0, math.inf, (i, i - 1))
+    total = mu.sum()
+    pi /= total
+    mu /= total
+    tails, heads = np.array(inst.pairs).T
+    slack = pi[tails] - pi[heads] - mu[tails] * costs[tails, heads]
+    worst = int(np.argmax(slack))
+    bound = float(np.dot(inst.volumes, pi[1:]))
+    return Certificate(bound, float(slack[worst]), inst.pairs[worst])
+
+
 def _tableau(inst: LpInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     # equality form: conservation rows, then energy rows with slack variables
     # turning  (node energy) <= t  into  (node energy) - t + s_i = 0
@@ -136,7 +196,7 @@ def solve(inst: LpInstance, tol: float = PIVOT_TOL) -> LpSolution:
     """
     n = inst.n
     a, b, c, t_col = _tableau(inst)
-    rows, nvar = a.shape
+    nvar = a.shape[1]
     arcs = t_col
     direct_col = {pair: k for k, pair in enumerate(inst.pairs) if pair[1] == 0}
     direct_energy = [inst.volumes[i - 1] * inst.costs[i, 0] for i in range(1, n + 1)]
@@ -156,35 +216,34 @@ def solve(inst: LpInstance, tol: float = PIVOT_TOL) -> LpSolution:
 
     iterations = 0
     budget = 1000 + 50 * nvar
+    margin = 1e-12
+    basis = np.array(basis)
     while True:
-        entering = -1
-        for j in range(nvar):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(reduced < -tol)
+        if improving.size == 0:
             break
+        entering = int(improving[0])
         column = tableau[:, entering]
-        best_ratio = None
-        for r in range(rows):
-            if column[r] > tol:
-                ratio = tableau[r, -1] / column[r]
-                if best_ratio is None or ratio < best_ratio - 1e-12 * max(1.0, abs(best_ratio)):
-                    best_ratio = ratio
-        if best_ratio is None:
+        eligible = np.flatnonzero(column > tol)
+        if eligible.size == 0:
             raise NumericalStall("objective unbounded below, which the model forbids")
-        leaving = -1
-        for r in range(rows):
-            if column[r] > tol:
-                ratio = tableau[r, -1] / column[r]
-                if ratio <= best_ratio + 1e-12 * max(1.0, abs(best_ratio)):
-                    if leaving < 0 or basis[r] < basis[leaving]:
-                        leaving = r
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for r in range(rows):
-            if r != leaving and tableau[r, entering] != 0.0:
-                tableau[r] -= tableau[r, entering] * tableau[leaving]
+        ratios = tableau[eligible, -1] / column[eligible]
+        # Bland's tie window: scanning rows in order, a ratio replaces the
+        # running best only when it undercuts it by the relative margin
+        start = 0
+        while True:
+            best = ratios[start]
+            lower = np.flatnonzero(ratios[start:] < best - margin * max(1.0, abs(best)))
+            if lower.size == 0:
+                break
+            start += int(lower[0])
+        tied = eligible[ratios <= best + margin * max(1.0, abs(best))]
+        leaving = int(tied[np.argmin(basis[tied])])
+        tableau[leaving] /= tableau[leaving, entering]
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        touched = np.flatnonzero(factors)
+        tableau[touched] -= np.outer(factors[touched], tableau[leaving])
         reduced = reduced - reduced[entering] * tableau[leaving, :-1]
         basis[leaving] = entering
         iterations += 1
@@ -192,8 +251,7 @@ def solve(inst: LpInstance, tol: float = PIVOT_TOL) -> LpSolution:
             raise NumericalStall(f"no optimum after {iterations} pivots")
 
     values = np.zeros(nvar)
-    for r, col in enumerate(basis):
-        values[col] = tableau[r, -1]
+    values[basis] = tableau[:, -1]
     if np.min(values) < -FLOW_FEAS_TOL:
         raise NumericalStall("final vertex lost feasibility")
     amounts = {

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import chainlife
+from chainlife import cli
 from chainlife.cli import main
+from chainlife.cost import CostSeries
 
 
 @pytest.fixture()
@@ -123,6 +125,18 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, command, field, text
     assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["solve-regular", "solve-perturbed"])
+def test_cost_overflow_is_one_error_line(write_config, capsys, command):
+    # 3**1000 is beyond the float range
+    doc = quadratic_chain(4)
+    doc["cost"]["terms"][0]["exponent"] = 1000.0
+    assert main([command, "--input", write_config("net.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "float range" in lines[0]
+
+
 def test_solve_perturbed_accepts_regular_config(write_config, capsys):
     path = write_config("net.json", quadratic_chain(2))
     assert main(["solve-perturbed", "--input", path]) == 0
@@ -193,6 +207,82 @@ def test_verify_flags_out_of_region_suite(write_config, capsys):
     assert doc["instances"][0]["status"] == "outside_region"
 
 
+def test_verify_certifies_where_the_simplex_failed(write_config, capsys):
+    # the dense simplex returned a wrong optimum at n = 15 and stalled at n = 16
+    suite = write_config(
+        "suite.json",
+        {"n_values": [15, 16], "exponents": [3.0], "volumes": "unit", "random_q": 0},
+    )
+    assert main(["verify", "--input", suite]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["instances"]
+    assert [row["status"] for row in rows] == ["optimal", "optimal"]
+    for row in rows:
+        assert row["lp"] == pytest.approx(row["closed_form"], rel=1e-14)
+
+
+def test_verify_failed_certificate_names_the_arc(write_config, capsys, monkeypatch):
+    # bypass series validation so the suite runs on a concave cost sqrt(s)
+    monkeypatch.setattr(cli, "single_exponent_series", lambda a: CostSeries(((1.0, a),)))
+    suite = write_config(
+        "suite.json",
+        {"n_values": [6], "exponents": [0.5], "volumes": "unit", "random_q": 0},
+    )
+    assert main(["verify", "--input", suite, "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",suboptimal")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "arc (6, 3)" in lines[0] and "0.1293" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("random_q", "x"),
+        ("random_q", -1),
+        ("random_q", 1.5),
+        ("exponents", ["x"]),
+        ("exponents", [1e308]),
+        ("volumes", [[1.0, float("nan"), 1.0]]),
+        ("volumes", [[1.0, 0.0, 1.0]]),
+        ("volumes", [[1.0, -2.0, 1.0]]),
+        ("n_values", [True]),
+    ],
+    ids=["random_q-text", "random_q-negative", "random_q-fraction", "exponent-text",
+         "exponent-overflow", "volume-nan", "volume-zero", "volume-negative", "n-bool"],
+)
+def test_verify_rejects_bad_suite_values(write_config, capsys, key, value):
+    doc = {"n_values": [3], "exponents": [2.0], "volumes": "unit", "random_q": 0}
+    doc[key] = value
+    assert main(["verify", "--input", write_config("suite.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "suite" in lines[0]
+
+
+def test_verify_without_draws_leaves_numpy_random_unloaded():
+    # creating a generator imports numpy.random, about 5 MB of resident memory
+    code = (
+        "import contextlib, io, sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from chainlife.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify'])\n"
+        "print(rc, eager, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    rc, eager, loaded = proc.stdout.split()
+    assert rc == "0"
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random eagerly")
+    assert loaded == "False"
+
+
 def test_verify_is_byte_stable(write_config, tmp_path):
     suite = write_config(
         "suite.json",
@@ -237,17 +327,20 @@ def test_sweep_grid_validation(write_config, capsys):
     assert main(["sweep", "--input", path, "--param", "Q2", "--grid", "0:1:0.5"]) == 1
 
 
-def test_module_entry_point(write_config, tmp_path):
-    path = write_config("net.json", quadratic_chain(2))
+def _child_env() -> dict:
     # the child imports the same chainlife as this test, installed or not
     src = os.path.dirname(os.path.dirname(chainlife.__file__))
     path_list = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_list))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path_list))
+
+
+def test_module_entry_point(write_config, tmp_path):
+    path = write_config("net.json", quadratic_chain(2))
     proc = subprocess.run(
         [sys.executable, "-m", "chainlife", "solve-regular", "--input", path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["common_energy"] == 1.75

@@ -1,4 +1,4 @@
-"""Independent minimax LP against the closed forms, plus an external solver check."""
+"""Minimax LP: dual certificate and simplex against the closed forms, plus an external solver check."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,13 +7,16 @@ import pytest
 from chainlife import (
     NumericalStall,
     RegularNetwork,
+    build_cost_series,
     flow_closed_form,
     raw_flows,
     single_exponent_series,
 )
+from chainlife.cost import CostSeries
 from chainlife.oracle import (
     LpInstance,
     VerdictStatus,
+    certify,
     chain_support_pairs,
     formulate,
     solve,
@@ -172,3 +175,38 @@ def test_iteration_budget_is_reported():
     lp = solve(formulate(unit_net(6, 2.0)))
     assert lp.iterations >= 0
     assert isinstance(lp.iterations, int)
+
+
+def test_certificate_proves_the_equal_energy_split():
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        a = float(rng.choice([1.0, 1.1, 1.5, 2.0, 3.0]))
+        if rng.random() < 0.5:
+            series = single_exponent_series(a)
+        else:
+            w = float(rng.uniform(0.2, 0.8))
+            series = build_cost_series([(w, a), (1.0 - w, float(rng.uniform(1.0, 4.0)))])
+        net = RegularNetwork(n, unit_region_volumes(rng, n), series)
+        cert = certify(formulate(net))
+        assert cert.bound == pytest.approx(flow_closed_form(net).common_energy, rel=1e-12)
+        assert cert.slack <= 1e-12
+
+
+def test_certificate_bound_matches_the_simplex():
+    rng = np.random.default_rng(5353)
+    for _ in range(20):
+        n = int(rng.integers(1, 11))
+        inst = formulate(RegularNetwork(n, unit_region_volumes(rng, n), random_series(rng)))
+        assert certify(inst).bound == pytest.approx(solve(inst).value, abs=1e-9)
+
+
+def test_certificate_refuses_costs_that_are_not_superadditive():
+    # validation bypassed: sqrt(s) makes relaying through node 3 pay off
+    concave = certify(formulate(RegularNetwork(6, (1.0,) * 6, CostSeries(((1.0, 0.5),)))))
+    assert concave.arc == (6, 3)
+    assert concave.slack == pytest.approx(0.1293, abs=1e-4)
+    # a flat cost makes the hop to node 1 as dear as the direct arc
+    flat = certify(formulate(RegularNetwork(3, (1.0,) * 3, CostSeries(((1.0, 0.0),)))))
+    assert flat.arc == (2, 1)
+    assert flat.slack == float("inf")
