@@ -1,8 +1,8 @@
 """Command-line front end.
 
 verify proves each closed-form split optimal with the LP dual certificate
-of chainlife.oracle; its ``lp`` column is the certified dual bound, or the
-simplex optimum for instances outside the volume region.
+of chainlife.oracle; its ``lp`` column is the certified dual bound, or, for
+instances outside the volume region, the HiGHS optimum checked by its duals.
 
 Exit codes: 0 success, 1 bad configuration or arguments, 2 volumes or
 shifts outside the feasible region (a routing flow went negative),
@@ -311,7 +311,7 @@ def _verify_instance(n: int, series: CostSeries, volumes: tuple[float, ...]) -> 
     try:
         sol = flow_closed_form(net)
     except NegativeFlow:
-        # no equal-energy split to certify: report the simplex optimum
+        # no equal-energy split to certify: report the checked HiGHS optimum
         lp = lp_solve(inst).value
         return {**head, "lp": lp, "closed_form": None, "gap": None, "status": "outside_region"}
     cert = certify(inst)

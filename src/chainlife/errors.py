@@ -50,4 +50,4 @@ class NoSignChange(ChainlifeError):
 
 
 class NumericalStall(ChainlifeError):
-    """The simplex iteration exceeded its pivot budget or lost feasibility."""
+    """The LP solve gave no optimum, or one that failed its primal or dual check."""

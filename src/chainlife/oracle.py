@@ -1,26 +1,27 @@
-"""Minimax-energy linear program: a dual certificate and an independent simplex.
+"""Minimax-energy linear program: a dual certificate and a checked LP solve.
 
 The closed-form solvers claim to minimize the worst per-node energy.  This
 module states that claim as a plain linear program over all directed flows
-(epigraph variable t bounding every node's energy).  :func:`certify` proves
-a claimed optimum per instance: on the chain support the LP dual has a
-closed form, and any dual-feasible point bounds the optimum from below, so a
-bound equal to the claimed energy with no violated arc is a proof.  That is
-an O(n^2) check, and it is what ``chainlife verify`` runs.
+(epigraph variable t bounding every node's energy).  Any dual-feasible point
+bounds the optimum from below, so a bound equal to a feasible flow's worst
+energy, with no violated arc, is a proof of optimality; :func:`check_dual`
+judges a dual point that way.  :func:`certify` builds the point in closed
+form on the chain support, an O(n^2) proof that ``chainlife verify`` runs
+inside the volume region.
 
-:func:`solve` is a self-contained dense simplex that reuses nothing from the
-closed forms, so agreement between the two routes is meaningful evidence;
-the tests use it as the cross-check.  It is deliberately boring: bounded
-tableau, Bland's rule for both the entering and the leaving choice, fixed
-pivot tolerance.  That trades speed for determinism and for immunity to
-cycling, which is the right trade at the small sizes it serves.
+Outside the region there is no split to certify.  :func:`solve` hands the LP
+to HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018), shipped with scipy,
+and returns its optimum only once the flow, its worst energy and HiGHS's own
+duals pass the same checks.  It uses HiGHS's interior-point solver (Schork
+and Gondzio, Math. Prog. Comp. 12, 2020) with crossover to a vertex: where
+one node's arc costs span five orders of magnitude, the dual simplex's flow
+can miss its own optimum by a relative 1e-7, and the check refuses it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .cost import transmission_cost
 from .errors import NumericalStall
 from .validate import FlowMatrix, check_conservation
 
-PIVOT_TOL = 1e-11
 DEFAULT_VERIFY_TOL = 1e-7
-FLOW_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +51,7 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Dual point built from the chain support, judged on every admissible arc.
+    """A dual point of the LP, judged on every admissible arc.
 
     ``bound`` is its dual objective, a lower bound on the LP optimum when
     ``slack`` (the largest dual constraint violation, found on ``arc``) is
@@ -64,20 +63,6 @@ class Certificate:
     arc: tuple[int, int]
 
 
-class VerdictStatus(Enum):
-    OPTIMAL = "optimal"
-    SUBOPTIMAL = "suboptimal"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: VerdictStatus
-    max_energy: float
-    optimum: float | None
-    gap: float | None
-
-
 def chain_support_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Restricted arc set: direct to collector plus the left-neighbour hop."""
     pairs = [(i, 0) for i in range(1, n + 1)]
@@ -85,17 +70,11 @@ def chain_support_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def formulate(
-    net,
-    pairs: Sequence[tuple[int, int]] | None = None,
-    order: Sequence[int] | None = None,
-) -> LpInstance:
+def formulate(net, pairs: Sequence[tuple[int, int]] | None = None) -> LpInstance:
     """Build the LP for a regular or perturbed network.
 
     ``pairs`` restricts the admissible arcs (direct-to-collector arcs are
-    always required so the problem stays feasible); ``order`` permutes the
-    variable layout, which must not change the optimum and is exercised by
-    the test suite.
+    always required so the problem stays feasible).
     """
     n = net.n
     x = net.positions().x
@@ -116,10 +95,6 @@ def formulate(
         missing = [i for i in range(1, n + 1) if (i, 0) not in chosen]
         if missing:
             raise ValueError(f"direct arcs to the collector missing for nodes {missing}")
-    if order is not None:
-        if sorted(order) != list(range(len(chosen))):
-            raise ValueError("order must be a permutation of the arc indices")
-        chosen = [chosen[k] for k in order]
     return LpInstance(n, tuple(float(q) for q in net.volumes), tuple(chosen), costs)
 
 
@@ -154,136 +129,97 @@ def certify(inst: LpInstance) -> Certificate:
     if broken.size:
         i = int(broken[0])
         return Certificate(0.0, math.inf, (i, i - 1))
+    return check_dual(inst, pi, mu)
+
+
+def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
+    """Judge a dual point of the LP on every admissible arc.
+
+    ``pi`` holds the node potentials and ``mu`` the nonnegative energy
+    multipliers, both indexed by node with 0 for the collector.  The point
+    is first scaled so that sum mu = 1, the dual constraint of the free
+    epigraph variable t.  The bound is sum_i Q_i pi_i, and the slack of arc
+    (i, j) is pi_i - pi_j - mu_i c_ij; the certificate reports the worst.
+    """
     total = mu.sum()
-    pi /= total
-    mu /= total
+    pi = pi / total
+    mu = mu / total
     tails, heads = np.array(inst.pairs).T
-    slack = pi[tails] - pi[heads] - mu[tails] * costs[tails, heads]
+    slack = pi[tails] - pi[heads] - mu[tails] * inst.costs[tails, heads]
     worst = int(np.argmax(slack))
     bound = float(np.dot(inst.volumes, pi[1:]))
     return Certificate(bound, float(slack[worst]), inst.pairs[worst])
 
 
-def _tableau(inst: LpInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    # equality form: conservation rows, then energy rows with slack variables
-    # turning  (node energy) <= t  into  (node energy) - t + s_i = 0
-    n = inst.n
-    arcs = len(inst.pairs)
-    nvar = arcs + 1 + n
-    t_col = arcs
-    a = np.zeros((2 * n, nvar))
-    b = np.zeros(2 * n)
-    for k, (i, j) in enumerate(inst.pairs):
-        a[i - 1, k] += 1.0
-        if j >= 1:
-            a[j - 1, k] -= 1.0
-        a[n + i - 1, k] = inst.costs[i, j]
-    for i in range(1, n + 1):
-        a[n + i - 1, t_col] = -1.0
-        a[n + i - 1, arcs + 1 + i - 1] = 1.0
-        b[i - 1] = inst.volumes[i - 1]
-    c = np.zeros(nvar)
-    c[t_col] = 1.0
-    return a, b, c, t_col
+def solve(inst: LpInstance) -> LpSolution:
+    """Minimize the worst node energy with HiGHS; returns the optimum, flow and iterations.
 
-
-def solve(inst: LpInstance, tol: float = PIVOT_TOL) -> LpSolution:
-    """Minimize the worst node energy; returns the optimum, flow, and pivot count.
-
-    Starts from the direct-routing vertex (every node sends straight to the
-    collector), which is always feasible.  Raises NumericalStall if the pivot
-    budget is exhausted or feasibility degrades beyond repair.
+    The optimum is returned only when three checks pass within
+    DEFAULT_VERIFY_TOL: the flow conserves every node's data and is
+    nonnegative (relative to the largest volume), its worst node energy
+    equals the optimum, and HiGHS's duals, judged by :func:`check_dual`,
+    violate no arc and bound the optimum from below with no gap (relative
+    to the optimum).  Anything else, a solver status other than optimal
+    included, raises NumericalStall.  scipy is imported here, so a run that
+    never meets this LP does not load it.
     """
-    n = inst.n
-    a, b, c, t_col = _tableau(inst)
-    nvar = a.shape[1]
-    arcs = t_col
-    direct_col = {pair: k for k, pair in enumerate(inst.pairs) if pair[1] == 0}
-    direct_energy = [inst.volumes[i - 1] * inst.costs[i, 0] for i in range(1, n + 1)]
-    tight = int(np.argmax(direct_energy))
-    basis = [direct_col[(i, 0)] for i in range(1, n + 1)]
-    basis.append(t_col)
-    basis += [arcs + 1 + k for k in range(n) if k != tight]
-    try:
-        binv_a = np.linalg.solve(a[:, basis], a)
-        binv_b = np.linalg.solve(a[:, basis], b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalStall("starting basis is singular") from exc
-    if np.min(binv_b) < -FLOW_FEAS_TOL:
-        raise NumericalStall("starting vertex infeasible")
-    tableau = np.hstack([binv_a, binv_b[:, None]])
-    reduced = c - c[basis] @ binv_a
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
 
-    iterations = 0
-    budget = 1000 + 50 * nvar
-    margin = 1e-12
-    basis = np.array(basis)
-    while True:
-        improving = np.flatnonzero(reduced < -tol)
-        if improving.size == 0:
-            break
-        entering = int(improving[0])
-        column = tableau[:, entering]
-        eligible = np.flatnonzero(column > tol)
-        if eligible.size == 0:
-            raise NumericalStall("objective unbounded below, which the model forbids")
-        ratios = tableau[eligible, -1] / column[eligible]
-        # Bland's tie window: scanning rows in order, a ratio replaces the
-        # running best only when it undercuts it by the relative margin
-        start = 0
-        while True:
-            best = ratios[start]
-            lower = np.flatnonzero(ratios[start:] < best - margin * max(1.0, abs(best)))
-            if lower.size == 0:
-                break
-            start += int(lower[0])
-        tied = eligible[ratios <= best + margin * max(1.0, abs(best))]
-        leaving = int(tied[np.argmin(basis[tied])])
-        tableau[leaving] /= tableau[leaving, entering]
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        touched = np.flatnonzero(factors)
-        tableau[touched] -= np.outer(factors[touched], tableau[leaving])
-        reduced = reduced - reduced[entering] * tableau[leaving, :-1]
-        basis[leaving] = entering
-        iterations += 1
-        if iterations > budget:
-            raise NumericalStall(f"no optimum after {iterations} pivots")
-
-    values = np.zeros(nvar)
-    values[basis] = tableau[:, -1]
-    if np.min(values) < -FLOW_FEAS_TOL:
-        raise NumericalStall("final vertex lost feasibility")
-    amounts = {
-        pair: float(values[k]) for k, pair in enumerate(inst.pairs) if values[k] > 0.0
-    }
-    return LpSolution(float(values[t_col]), FlowMatrix(n, amounts), iterations)
-
-
-def verify_candidate(
-    inst: LpInstance,
-    candidate: FlowMatrix | Mapping[tuple[int, int], float],
-    tol: float = DEFAULT_VERIFY_TOL,
-) -> Verdict:
-    """Judge a candidate flow against the LP optimum.
-
-    Infeasible when conservation or nonnegativity fails beyond tol; otherwise
-    optimal when its worst node energy is within tol of the LP value, and
-    suboptimal with the gap reported otherwise.
-    """
-    if not isinstance(candidate, FlowMatrix):
-        candidate = FlowMatrix(inst.n, dict(candidate))
-    residual = check_conservation(candidate, inst.volumes)
-    energy = np.zeros(inst.n)
-    lowest = 0.0
-    for (i, j), value in candidate.items():
-        energy[i - 1] += value * inst.costs[i, j]
-        lowest = min(lowest, value)
-    max_energy = float(np.max(energy)) if inst.n else 0.0
-    scale = max(1.0, max(inst.volumes))
-    if float(np.max(np.abs(residual))) > tol * scale or lowest < -tol:
-        return Verdict(VerdictStatus.INFEASIBLE, max_energy, None, None)
-    optimum = solve(inst).value
-    gap = max_energy - optimum
-    status = VerdictStatus.OPTIMAL if gap <= tol else VerdictStatus.SUBOPTIMAL
-    return Verdict(status, max_energy, optimum, gap)
+    n, arcs, tol = inst.n, len(inst.pairs), DEFAULT_VERIFY_TOL
+    tails, heads = np.array(inst.pairs).T
+    arc_costs = inst.costs[tails, heads]
+    # columns: one flow per arc, then t; rows: conservation, then energy - t <= 0.
+    # Sparse, because dense rows over all n^2 arcs would hold n^3 entries.
+    col = np.arange(arcs)
+    inner = heads >= 1
+    a_eq = coo_array(
+        (np.r_[np.ones(arcs), -np.ones(inner.sum())],
+         (np.r_[tails, heads[inner]] - 1, np.r_[col, col[inner]])),
+        shape=(n, arcs + 1),
+    )
+    a_ub = coo_array(
+        (np.r_[arc_costs, -np.ones(n)], (np.r_[tails - 1, np.arange(n)], np.r_[col, [arcs] * n])),
+        shape=(n, arcs + 1),
+    )
+    c = np.zeros(arcs + 1)
+    c[arcs] = 1.0
+    result = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(n),
+        A_eq=a_eq,
+        b_eq=inst.volumes,
+        bounds=[(0, None)] * arcs + [(None, None)],
+        method="highs-ipm",
+    )
+    if result.status != 0:
+        raise NumericalStall(f"HiGHS found no LP optimum: {result.message}")
+    value = float(result.fun)
+    x = result.x[:arcs]
+    flow = FlowMatrix(n, {pair: float(v) for pair, v in zip(inst.pairs, x) if v > 0.0})
+    residual = float(np.max(np.abs(check_conservation(flow, inst.volumes))))
+    lowest = float(np.min(x))
+    volume_scale = max(1.0, max(inst.volumes))
+    if not (residual <= tol * volume_scale and lowest >= -tol * volume_scale):
+        raise NumericalStall(
+            f"the LP flow is infeasible: conservation residual {residual:.6g}, "
+            f"lowest entry {lowest:.6g}"
+        )
+    scale = max(1.0, abs(value))
+    worst = float(np.max(np.bincount(tails - 1, np.maximum(x, 0.0) * arc_costs, n)))
+    if not abs(worst - value) <= tol * scale:
+        raise NumericalStall(
+            f"the LP flow's worst node energy {worst:.12g} is not its optimum {value:.12g}"
+        )
+    # HiGHS's marginals are +pi on conservation rows and -mu on energy rows;
+    # clipping mu at 0 can only raise the arc slacks
+    pi = np.concatenate(([0.0], result.eqlin.marginals))
+    mu = np.concatenate(([0.0], np.maximum(-result.ineqlin.marginals, 0.0)))
+    cert = check_dual(inst, pi, mu)
+    if not (cert.slack <= tol and abs(cert.bound - value) <= tol * scale):
+        raise NumericalStall(
+            f"the LP duals do not prove the optimum {value:.12g}: arc {cert.arc} has "
+            f"dual slack {cert.slack:.6g}, bound {cert.bound:.12g}"
+        )
+    return LpSolution(value, flow, int(result.nit))

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import chainlife
-from chainlife import cli
+from chainlife import cli, oracle
 from chainlife.cli import main
 from chainlife.cost import CostSeries
+from chainlife.oracle import Certificate
 
 
 @pytest.fixture()
@@ -281,6 +282,53 @@ def test_verify_without_draws_leaves_numpy_random_unloaded():
     if eager == "True":
         pytest.skip("this numpy imports numpy.random eagerly")
     assert loaded == "False"
+
+
+@pytest.mark.parametrize("n, optimum", [(30, 26.8818923067), (40, 36.6245099111)])
+def test_verify_outside_rows_report_the_lp_optimum(write_config, capsys, n, optimum):
+    # the dense simplex stalled at n = 30 and printed 10.9229103216 at n = 40
+    suite = write_config(
+        "suite.json",
+        {"n_values": [n], "exponents": [2.0], "volumes": [[1.0] * (n - 1) + [0.01]],
+         "random_q": 0},
+    )
+    assert main(["verify", "--input", suite]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [row] = json.loads(captured.out)["instances"]
+    assert row["status"] == "outside_region"
+    assert row["lp"] == pytest.approx(optimum, rel=1e-9)
+
+
+def test_verify_outside_row_with_a_failed_dual_check_exits_3(write_config, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "check_dual", lambda inst, pi, mu: Certificate(0.0, 1.0, (2, 1)))
+    suite = write_config(
+        "suite.json",
+        {"n_values": [2], "exponents": [2.0], "volumes": [[1.0, 0.1]], "random_q": 0},
+    )
+    assert main(["verify", "--input", suite]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "arc (2, 1)" in lines[0]
+
+
+def test_verify_and_solve_leave_scipy_unloaded(write_config):
+    # importing scipy.optimize after numpy takes about 0.6 s; only
+    # outside-region rows need it
+    path = write_config("net.json", quadratic_chain(3))
+    code = (
+        "import contextlib, io, sys\n"
+        "from chainlife.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['verify']), main(['solve-regular', '--input', {path!r}])]\n"
+        "print(*codes, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.stdout.split() == ["0", "0", "False"]
 
 
 def test_verify_is_byte_stable(write_config, tmp_path):
