@@ -11,6 +11,7 @@ shifts outside the feasible region (a routing flow went negative),
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from typing import Sequence
@@ -35,12 +36,12 @@ from .regular import (
     RegularNetwork,
     check_q_constraints,
     flow_closed_form,
-    node_energy_closed_form,
     q_i_max,
     q_n_min,
-    raw_flows,
     stability_region_Q_check,
 )
+# unused here: bench/spans.py traces these two by their names in this module
+from .regular import node_energy_closed_form, raw_flows  # noqa: F401
 from .validate import FLOW_ZERO_TOL
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
@@ -65,8 +66,8 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         return cmd
 
-    add("solve-regular", _cmd_solve_regular, "equal-energy flows on an evenly spaced chain")
-    add("solve-perturbed", _cmd_solve_perturbed, "equal-energy flows with node position shifts")
+    add("solve-regular", _cmd_solve, "equal-energy flows on an evenly spaced chain")
+    add("solve-perturbed", _cmd_solve, "equal-energy flows with node position shifts")
 
     q_cmd = add("stability-q", _cmd_stability_q, "admissible volume range per node")
     q_cmd.add_argument("--nodes", default="all", help="comma list of node indices, or 'all'")
@@ -99,10 +100,10 @@ def _require_input(args) -> str:
     return args.input
 
 
-def _require_regular(net) -> RegularNetwork:
-    if isinstance(net, RegularNetwork):
-        return net
-    raise ConfigError("this command expects an unshifted chain; got nonzero shifts")
+def _require_unshifted(net: PerturbedNetwork) -> PerturbedNetwork:
+    if any(net.shifts):
+        raise ConfigError("this command expects an unshifted chain; got nonzero shifts")
+    return net
 
 
 def _parse_nodes(spec: str, n: int) -> list[int]:
@@ -128,6 +129,8 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"--grid needs finite LO, HI and STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--grid needs STEP > 0 and HI >= LO")
     values = []
@@ -142,11 +145,16 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _out_of_region_message(net, exc: NegativeFlow) -> str:
-    """Name the violated flow and the volume boundary that was crossed."""
+def _out_of_region_message(net: PerturbedNetwork, exc: NegativeFlow, volumes: bool) -> str:
+    """Name the violated flow and, with ``volumes``, the volume boundary crossed."""
     j, target = exc.component
     lines = [str(exc)]
-    if isinstance(net, RegularNetwork) and target == j - 1 and j >= 2:
+    if not volumes:
+        lines.append(
+            "the configured shifts leave the stability region; see stability-d "
+            "for admissible single-node intervals"
+        )
+    elif target == j - 1 and j >= 2:
         if j == net.n:
             bound = q_n_min(net)
             lines.append(
@@ -162,34 +170,19 @@ def _out_of_region_message(net, exc: NegativeFlow) -> str:
                 )
             except ChainlifeError:
                 pass
-    elif isinstance(net, PerturbedNetwork):
-        lines.append(
-            "the configured shifts leave the stability region; see stability-d "
-            "for admissible single-node intervals"
-        )
     return "; ".join(lines)
 
 
-def _cmd_solve_regular(args) -> int:
-    net = _require_regular(docs.load_network(_require_input(args)))
-    try:
-        sol = flow_closed_form(net)
-    except NegativeFlow as exc:
-        print(f"error: {_out_of_region_message(net, exc)}", file=sys.stderr)
-        return 2
-    if args.format == "csv":
-        _write(args, docs.solution_csv(sol))
-    else:
-        _write(args, docs.json_dumps(docs.solution_document(sol)))
-    return 0
-
-
-def _cmd_solve_perturbed(args) -> int:
-    net = docs.as_perturbed(docs.load_network(_require_input(args)))
+def _cmd_solve(args) -> int:
+    # solve-regular takes unshifted chains and names the volume bound crossed
+    regular = args.command == "solve-regular"
+    net = docs.load_network(_require_input(args))
+    if regular:
+        _require_unshifted(net)
     try:
         sol = solve_equal_energy(net)
     except NegativeFlow as exc:
-        print(f"error: {_out_of_region_message(net, exc)}", file=sys.stderr)
+        print(f"error: {_out_of_region_message(net, exc, regular)}", file=sys.stderr)
         return 2
     if args.format == "csv":
         _write(args, docs.solution_csv(sol))
@@ -199,7 +192,7 @@ def _cmd_solve_perturbed(args) -> int:
 
 
 def _cmd_stability_q(args) -> int:
-    net = _require_regular(docs.load_network(_require_input(args)))
+    net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
     rows: list[tuple[int, float | None, float | None]] = []
     for i in nodes:
@@ -217,15 +210,14 @@ def _cmd_stability_q(args) -> int:
 
 
 def _cmd_stability_d(args) -> int:
-    net = _require_regular(docs.load_network(_require_input(args)))
+    net = _require_unshifted(docs.load_network(_require_input(args)))
     if any(q != 1.0 for q in net.volumes):
         raise ConfigError("stability-d is defined for unit volumes")
     nodes = _parse_nodes(args.nodes, net.n)
-    template = docs.as_perturbed(net)
     rows = []
     for i in nodes:
         envelope = stability_bounds_d(net.n, i)
-        numeric = numeric_d_interval(template, i)
+        numeric = numeric_d_interval(net, i)
         rows.append((i, envelope, numeric))
     if args.format == "csv":
         _write(args, docs.stability_d_csv(rows))
@@ -363,21 +355,13 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(net, kind: str, index: int, value: float):
-    if kind == "Q":
-        volumes = list(net.volumes)
-        volumes[index - 1] = value
-        if isinstance(net, RegularNetwork):
-            probe = RegularNetwork(net.n, tuple(volumes), net.series)
-            flows = raw_flows(probe)
-            min_flow = min(flows.values())
-            energy = node_energy_closed_form(probe) if min_flow >= -FLOW_ZERO_TOL else None
-            return energy, min_flow
-        probe = PerturbedNetwork(net.n, net.shifts, tuple(volumes), net.series)
-    else:
-        shifts = list(docs.as_perturbed(net).shifts)
-        shifts[index - 1] = value
-        probe = PerturbedNetwork(net.n, tuple(shifts), net.volumes, net.series)
+def _sweep_point(net: PerturbedNetwork, kind: str, index: int, value: float):
+    volumes, shifts = list(net.volumes), list(net.shifts)
+    (volumes if kind == "Q" else shifts)[index - 1] = value
+    try:
+        probe = PerturbedNetwork(net.n, tuple(shifts), tuple(volumes), net.series)
+    except ValueError as exc:  # a shift that moves a node past its neighbour
+        raise ConfigError(f"{kind}{index} = {value:g}: {exc}") from None
     sol = solve_equal_energy(probe, check_flows=False)
     min_flow = sol.flow.min_entry()
     energy = sol.common_energy if min_flow >= -FLOW_ZERO_TOL else None

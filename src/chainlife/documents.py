@@ -12,8 +12,7 @@ from typing import Any, Sequence
 
 from .cost import CostSeries, build_cost_series, series_to_terms
 from .errors import ChainlifeError, ConfigError
-from .perturbed import PerturbedNetwork, StabilityInterval
-from .regular import EqualEnergySolution, RegularNetwork
+from .perturbed import EqualEnergySolution, PerturbedNetwork, StabilityInterval
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
@@ -54,8 +53,8 @@ def parse_cost(doc: Any) -> CostSeries:
         raise ConfigError(f"invalid cost series: {exc}") from exc
 
 
-def parse_network(doc: Any) -> RegularNetwork | PerturbedNetwork:
-    """Network from a config document; shifts of all zeros mean a regular chain."""
+def parse_network(doc: Any) -> PerturbedNetwork:
+    """Chain from a config document; without shifts it is the regular chain."""
     if not isinstance(doc, dict):
         raise ConfigError("network config must be an object")
     n = doc.get("n")
@@ -67,18 +66,19 @@ def parse_network(doc: Any) -> RegularNetwork | PerturbedNetwork:
     q = tuple(_real(v, f"volumes[{k}]") for k, v in enumerate(volumes))
     series = parse_cost(doc.get("cost"))
     shifts = doc.get("shifts")
-    if shifts is not None and (not isinstance(shifts, list) or len(shifts) != n):
+    if shifts is None:
+        d = (0.0,) * n
+    elif not isinstance(shifts, list) or len(shifts) != n:
         raise ConfigError(f"shifts must be a list of {n} numbers")
-    try:
-        if shifts is None or all(s == 0 for s in shifts):
-            return RegularNetwork(n, q, series)
+    else:
         d = tuple(_real(s, f"shifts[{k}]") for k, s in enumerate(shifts))
+    try:
         return PerturbedNetwork(n, d, q, series)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def load_network(path: str) -> RegularNetwork | PerturbedNetwork:
+def load_network(path: str) -> PerturbedNetwork:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -87,12 +87,6 @@ def load_network(path: str) -> RegularNetwork | PerturbedNetwork:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return parse_network(doc)
-
-
-def as_perturbed(net: RegularNetwork | PerturbedNetwork) -> PerturbedNetwork:
-    if isinstance(net, PerturbedNetwork):
-        return net
-    return PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series)
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,23 @@ def chain_support_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def formulate(net, pairs: Sequence[tuple[int, int]] | None = None) -> LpInstance:
-    """Build the LP for a regular or perturbed network.
+    """Build the LP for a chain.
 
     ``pairs`` restricts the admissible arcs (direct-to-collector arcs are
-    always required so the problem stays feasible).
+    always required so the problem stays feasible).  Each distinct distance
+    is costed once; a regular chain has n of them.
     """
     n = net.n
     x = net.positions().x
     costs = np.zeros((n + 1, n + 1))
+    by_distance: dict[float, float] = {}
     for i in range(1, n + 1):
         for j in range(0, n + 1):
             if i != j:
-                costs[i, j] = transmission_cost(net.series, x[i], x[j])
+                s = abs(x[i] - x[j])
+                if s not in by_distance:
+                    by_distance[s] = transmission_cost(net.series, x[i], x[j])
+                costs[i, j] = by_distance[s]
     if pairs is None:
         chosen = [(i, j) for i in range(1, n + 1) for j in range(0, n + 1) if j != i]
     else:

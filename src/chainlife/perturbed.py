@@ -1,24 +1,25 @@
-"""Equal-energy routing and node-shift stability for perturbed chains.
+"""The sensor chain: node positions, the equal-energy solve, and shift stability.
 
 Node i sits at x_i = i - d_i with d_i in (-1, 1); a positive shift moves the
-node toward the collector.  The equal-energy flow solves the conservation
-and pairwise energy-equality balance equations with the same linear-time
-chain recurrence as the regular chain; the dense system of those rows is
-still assembled, as a test reference and for condition estimates.  The
-stability question is how far a single node may move before that flow stops
-being feasible, and hence stops solving the minimax energy problem.
+node toward the collector, and the regular, unit-spaced chain is d = 0.  The
+equal-energy flow solves the conservation and pairwise energy-equality
+balance equations in one linear-time walk along the chain; the dense system
+of those rows is still assembled, as a test reference and for condition
+estimates.  The stability question is how far a single node may move before
+that flow stops being feasible, and hence stops solving the minimax energy
+problem.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .cost import CostSeries, Positions, transmission_cost
 from .errors import IndexOutOfRange, NegativeFlow, NoSignChange, SingularMatrix
-from .regular import EqualEnergySolution, _equal_energy_flows, _equal_energy_solution
+from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix
 
 BISECTION_TOL = 1e-10
 BRACKET_MARGIN = 1e-6
@@ -26,27 +27,38 @@ BRACKET_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class PerturbedNetwork:
-    """Chain of n nodes at x_i = i - shifts[i-1], with volumes and a cost series."""
+    """Chain of n nodes at x_i = i - shifts[i-1], with volumes and a cost series.
+
+    Every chain has this type; zero shifts give the regular chain.
+    """
 
     n: int
     shifts: tuple[float, ...]
     volumes: tuple[float, ...]
     series: CostSeries
+    _positions: Positions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one node")
         if len(self.shifts) != self.n or len(self.volumes) != self.n:
             raise ValueError("shift and volume vectors must match the node count")
-        for k, d in enumerate(self.shifts, start=1):
-            if not -1.0 < d < 1.0:
-                raise ValueError(f"shift d_{k} = {d} outside (-1, 1)")
+        object.__setattr__(self, "_positions", Positions.from_shifts(self.shifts))
         for k, q in enumerate(self.volumes, start=1):
             if not q > 0.0:
                 raise ValueError(f"volume Q_{k} = {q} must be positive")
 
     def positions(self) -> Positions:
-        return Positions.from_shifts(self.shifts)
+        return self._positions
+
+
+@dataclass(frozen=True)
+class EqualEnergySolution:
+    """A feasible flow whose node energies all equal ``common_energy``."""
+
+    flow: FlowMatrix
+    node_energies: tuple[float, ...]
+    common_energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,21 +82,95 @@ class StabilityInterval:
     hi: float
 
 
-def _pair_costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
-    # direct[i] = cost node i -> collector, left[i] = cost node i -> node i-1
+def _costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
+    """Node i's costs to the collector, direct[i], and to node i - 1, left[i].
+
+    Index 0 is unused.  A gap x_i - x_{i-1} equal to the one before reuses
+    its cost, so a regular chain pays n + 1 cost evaluations.
+    """
     x = net.positions().x
+    series = net.series
     direct = [0.0] * (net.n + 1)
     left = [0.0] * (net.n + 1)
+    gap = hop = None
     for i in range(1, net.n + 1):
-        direct[i] = transmission_cost(net.series, x[i], 0.0)
-        left[i] = transmission_cost(net.series, x[i], x[i - 1])
+        direct[i] = transmission_cost(series, x[i], 0.0)
+        if x[i] - x[i - 1] != gap:
+            gap = x[i] - x[i - 1]
+            hop = transmission_cost(series, x[i], x[i - 1])
+        left[i] = hop
     return direct, left
+
+
+def _equal_energy_flows(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
+) -> tuple[dict[tuple[int, int], float], float]:
+    """Signed equal-energy flows on the chain support and their common energy E.
+
+    direct[i] and left[i] are node i's costs to reach the collector and node
+    i - 1 (index 0 unused).  Walking outward from node 1, the relay
+    q_{i+1,i} = a + b E picks up E / D_i - Q_i and is scaled by the
+    contracting factor 1 - L_i / D_i; the far end q_{n+1,n} = 0 fixes E, and
+    a second walk evaluates the direct flows at that E.  Entries may be
+    negative outside the feasible region.
+    """
+    n = len(volumes)
+    a = b = 0.0
+    try:
+        for i in range(1, n + 1):
+            shrink = 1.0 - left[i] / direct[i]
+            a = a * shrink - float(volumes[i - 1])
+            b = b * shrink + 1.0 / direct[i]
+        energy = -a / b
+    except ZeroDivisionError:
+        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    q: dict[tuple[int, int], float] = {}
+    relay = 0.0
+    for i in range(1, n + 1):
+        q[(i, 0)] = (energy - relay * left[i]) / direct[i]
+        relay += q[(i, 0)] - float(volumes[i - 1])
+    # the relays again, summed from the far end where they are small, so
+    # that each keeps its relative precision; node 1 sends on all it holds
+    relay = 0.0
+    for i in range(n, 1, -1):
+        relay += float(volumes[i - 1]) - q[(i, 0)]
+        q[(i, i - 1)] = relay
+    q[(1, 0)] = float(volumes[0]) + relay
+    return q, energy
+
+
+def _equal_energy_solution(
+    q: dict[tuple[int, int], float],
+    common: float,
+    direct: Sequence[float],
+    left: Sequence[float],
+    check_flows: bool = True,
+) -> EqualEnergySolution:
+    """Node energies and the flow, after the energy-spread and negative-flow checks.
+
+    SingularMatrix signals node energies that disagree or are not finite;
+    NegativeFlow, raised only with ``check_flows``, names the most negative
+    component.
+    """
+    energies = [
+        q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
+        for i in range(1, len(direct))
+    ]
+    peak = max(energies)
+    spread = peak - min(energies)
+    if not spread <= EQUAL_ENERGY_TOL * max(1.0, abs(peak)):
+        raise SingularMatrix(f"energy spread {spread:.3e} after solve")
+    if check_flows:
+        worst = min(q, key=lambda key: q[key])
+        if q[worst] < -FLOW_ZERO_TOL:
+            raise NegativeFlow(worst, q[worst])
+    return EqualEnergySolution(FlowMatrix(len(direct) - 1, q), tuple(energies), common)
 
 
 def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
     """Conservation rows plus energy-equality rows for the 2N-1 unknown flows."""
     n = net.n
-    direct, left = _pair_costs(net)
+    direct, left = _costs(net)
     size = 2 * n - 1
     ordering = tuple((m, 0) for m in range(n, 0, -1)) + tuple(
         (m, m - 1) for m in range(2, n + 1)
@@ -117,7 +203,7 @@ def system_determinant(net: PerturbedNetwork) -> float:
 
 
 def _solve_raw(net: PerturbedNetwork, check_flows: bool = False) -> EqualEnergySolution:
-    direct, left = _pair_costs(net)
+    direct, left = _costs(net)
     q, energy = _equal_energy_flows(net.volumes, direct, left)
     return _equal_energy_solution(q, energy, direct, left, check_flows)
 
@@ -125,7 +211,8 @@ def _solve_raw(net: PerturbedNetwork, check_flows: bool = False) -> EqualEnergyS
 def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> EqualEnergySolution:
     """Solve the balance equations and package the equal-energy flow.
 
-    Outside the stability region the system still has a unique solution but
+    The one solve for every chain, regular or shifted.  Outside the stability
+    region the system still has a unique solution but
     some component is negative and the flow no longer solves the minimax
     problem.  With ``check_flows`` set (the default) that situation raises
     NegativeFlow; disabling the check returns the signed solution for
@@ -144,7 +231,7 @@ def node_energy_sn(net: PerturbedNetwork) -> float:
     The whole bracket, including the farthest node's term, is divided by
     det M; the regression suite pins this grouping against solve_equal_energy.
     """
-    direct, left = _pair_costs(net)
+    direct, left = _costs(net)
     n = net.n
     if n == 1:
         return float(net.volumes[0]) * direct[1]
@@ -303,8 +390,11 @@ def energy_bounds_perturbed(net: PerturbedNetwork) -> tuple[float, float]:
 
     The lower end charges every volume the chain of hop costs it crosses,
     averaged over the nodes; the upper end is the worst single-hop relay load.
+    On a regular chain every hop costs 1, so the interval is the per-node
+    share of the hop-count workload up to the total volume, the relay load
+    of node 1; the lower end is attained for exponent-1 cost.
     """
-    _, left = _pair_costs(net)
+    _, left = _costs(net)
     n = net.n
     hop_prefix = 0.0
     lower = 0.0

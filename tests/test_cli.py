@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chainlife
-from chainlife import cli, oracle
+from chainlife import RegularNetwork, build_cost_series, cli, node_energy_closed_form, oracle
 from chainlife.cli import main
+from chainlife.regular import raw_flows
+from chainlife.validate import FLOW_ZERO_TOL
 from chainlife.cost import CostSeries
 from chainlife.oracle import Certificate
 
@@ -143,6 +146,16 @@ def test_solve_perturbed_accepts_regular_config(write_config, capsys):
     assert main(["solve-perturbed", "--input", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["common_energy"] == pytest.approx(1.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_regular_and_perturbed_print_identical_bytes(write_config, capsys, fmt):
+    path = write_config("net.json", quadratic_chain(4, volumes=[1.2, 1.0, 1.3, 1.1]))
+    outputs = []
+    for command in ("solve-regular", "solve-perturbed"):
+        assert main([command, "--input", path, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_perturbed_out_of_region(write_config, capsys):
@@ -373,6 +386,89 @@ def test_sweep_grid_validation(write_config, capsys):
     assert main(["sweep", "--input", path, "--param", "Q9", "--grid", "0.1:1:0.1"]) == 1
     assert main(["sweep", "--input", path, "--param", "d1", "--grid", "0.5:1.5:0.5"]) == 1
     assert main(["sweep", "--input", path, "--param", "Q2", "--grid", "0:1:0.5"]) == 1
+
+
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.5", "0:1:inf"])
+def test_sweep_rejects_non_finite_grid(write_config, grid):
+    # a subprocess with a timeout, so that a grid that never ends fails
+    # the test instead of hanging it
+    path = write_config("net.json", quadratic_chain(2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainlife", "sweep", "--input", path, "--param", "Q1",
+         "--grid", grid],
+        capture_output=True, text=True, env=_child_env(), timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
+
+
+def test_sweep_shift_that_reorders_nodes_is_config_error(write_config, capsys):
+    path = write_config("net.json", quadratic_chain(3, shifts=[0.0, -0.6, 0.0]))
+    assert main(["sweep", "--input", path, "--param", "d3", "--grid", "0:0.9:0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: d3 = 0.6")
+
+
+def _sweep_rows(path: str, param: str, grid: str, capsys) -> list[dict]:
+    assert main(["sweep", "--input", path, "--param", param, f"--grid={grid}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return json.loads(captured.out)
+
+
+@pytest.mark.parametrize(
+    "param, grids",
+    [("Q200", ["1e-6:1:0.05", "1:1000:37"]), ("Q1", ["0.5:50:2.5", "50:10000:450"])],
+)
+def test_volume_sweep_far_outside_the_region(write_config, capsys, param, grids):
+    # the sweep solves with the energy-spread check on; far outside the
+    # volume region it must still report rows, marked outside exactly where
+    # a raw flow component is negative
+    n = 200
+    rng = np.random.default_rng(2002)
+    volumes = [float(v) for v in 1.0 + rng.uniform(0.0, 0.5, size=n)]
+    doc = quadratic_chain(n, volumes=volumes)
+    doc["cost"]["terms"] = [{"lambda": 0.4, "exponent": 1.3}, {"lambda": 0.6, "exponent": 2.6}]
+    path = write_config("net.json", doc)
+    series = build_cost_series([(0.4, 1.3), (0.6, 2.6)])
+    index = int(param[1:])
+    sides = set()
+    for grid in grids:
+        for row in _sweep_rows(path, param, grid, capsys):
+            probe = list(volumes)
+            probe[index - 1] = row["param"]
+            net = RegularNetwork(n, tuple(probe), series)
+            outside = min(raw_flows(net).values()) < -FLOW_ZERO_TOL
+            assert row["outside"] is outside, row
+            sides.add(outside)
+            if not outside:
+                expected = node_energy_closed_form(net)
+                assert row["common_energy"] == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert sides == {True, False}
+
+
+def test_volume_sweep_energy_matches_the_closed_form(write_config, capsys):
+    rng = np.random.default_rng(4141)
+    for _ in range(20):
+        n = int(rng.integers(2, 120))
+        volumes = [float(v) for v in 1.0 + rng.uniform(0.0, 0.5, size=n)]
+        a = float(rng.uniform(1.0, 3.0))
+        doc = quadratic_chain(n, volumes=volumes)
+        doc["cost"]["terms"][0]["exponent"] = a
+        path = write_config("net.json", doc)
+        index = int(rng.integers(1, n + 1))
+        for row in _sweep_rows(path, f"Q{index}", "0.2:3:0.2", capsys):
+            if row["outside"]:
+                continue
+            probe = list(volumes)
+            probe[index - 1] = row["param"]
+            net = RegularNetwork(n, tuple(probe), build_cost_series([(1.0, a)]))
+            expected = node_energy_closed_form(net)
+            assert row["common_energy"] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def _child_env() -> dict:

@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from chainlife import ConfigError, PerturbedNetwork, RegularNetwork, flow_closed_form
+from chainlife import ConfigError, flow_closed_form
 from chainlife.documents import (
-    as_perturbed,
     csv_text,
     format_real,
     json_dumps,
@@ -34,26 +33,20 @@ def chain_doc(**overrides):
 
 def test_parse_regular_network():
     net = parse_network(chain_doc())
-    assert isinstance(net, RegularNetwork)
+    assert net.shifts == (0.0, 0.0)
     assert net.n == 2
     assert net.volumes == (1.0, 1.0)
 
 
 def test_zero_shifts_stay_regular():
     net = parse_network(chain_doc(shifts=[0, 0.0]))
-    assert isinstance(net, RegularNetwork)
+    assert net.shifts == (0.0, 0.0)
+    assert net == parse_network(chain_doc())
 
 
 def test_parse_perturbed_network():
     net = parse_network(chain_doc(shifts=[0.25, 0.0]))
-    assert isinstance(net, PerturbedNetwork)
     assert net.shifts == (0.25, 0.0)
-
-
-def test_as_perturbed_wraps_regular():
-    net = as_perturbed(parse_network(chain_doc()))
-    assert isinstance(net, PerturbedNetwork)
-    assert net.shifts == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +67,7 @@ def test_as_perturbed_wraps_regular():
         {"shifts": [1.5, 0.0]},
         {"shifts": 3},
         {"shifts": [0.1]},
+        {"shifts": [False, 0]},
     ],
 )
 def test_malformed_configs_raise_config_error(mutant):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chainlife import (
+    PerturbedNetwork,
     RegularNetwork,
     build_cost_series,
     check_conservation,
@@ -13,7 +14,7 @@ from chainlife import (
     raw_flows,
     single_exponent_series,
 )
-from chainlife.cost import CostSeries
+from chainlife.cost import CostSeries, transmission_cost
 from chainlife.oracle import (
     DEFAULT_VERIFY_TOL,
     certify,
@@ -33,6 +34,31 @@ def unit_net(n: int, a: float) -> RegularNetwork:
 def test_formulate_full_arc_count():
     assert len(formulate(unit_net(2, 2.0)).pairs) == 4
     assert len(formulate(unit_net(3, 2.0)).pairs) == 9
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        RegularNetwork(12, (1.0,) * 12, build_cost_series([(0.3, 1.4), (0.7, 2.6)])),
+        PerturbedNetwork(
+            12,
+            (0.1, -0.2, 0.0, 0.0, 0.3, 0.3, -0.05, 0.0, 0.2, 0.0, 0.0, -0.4),
+            (1.0,) * 12,
+            build_cost_series([(0.3, 1.4), (0.7, 2.6)]),
+        ),
+    ],
+    ids=["regular", "shifted"],
+)
+def test_formulate_costs_each_arc_exactly(net):
+    # each distinct distance is costed once; the matrix must stay the
+    # per-arc one bit for bit
+    x = net.positions().x
+    expected = np.zeros((net.n + 1, net.n + 1))
+    for i in range(1, net.n + 1):
+        for j in range(net.n + 1):
+            if i != j:
+                expected[i, j] = transmission_cost(net.series, x[i], x[j])
+    assert np.array_equal(formulate(net).costs, expected)
 
 
 def test_formulate_restriction_rules():

@@ -22,6 +22,7 @@ from chainlife import (
     raw_flows,
     single_exponent_series,
     stability_region_Q_check,
+    unit_hop_costs,
 )
 from chainlife.regular import _closed_form_energy
 
@@ -220,7 +221,7 @@ def test_raw_flows_match_paper_formula():
         net = RegularNetwork(n, random_positive_volumes(rng, n), random_series(rng))
         if k % 2:  # half the cases push the far node below its minimum volume
             net = RegularNetwork(n, net.volumes[:-1] + (0.5 * q_n_min(net),), net.series)
-        hops = net.hop_costs()
+        hops = unit_hop_costs(net.series, net.n)
         e1 = hops[1]
         flows = raw_flows(net)
         if k % 2:
@@ -233,6 +234,18 @@ def test_raw_flows_match_paper_formula():
             assert flows[(i, 0)] == pytest.approx(expected, rel=1e-12, abs=1e-12), (n, i)
 
 
+def test_q_n_min_matches_the_closed_form():
+    # q_n_min is the affine root of q_{N,N-1} in Q_N; the paper's value is
+    # E_{N-1} / h_N, with E_{N-1} the common energy of the first N - 1 nodes
+    rng = np.random.default_rng(31337)
+    for _ in range(150):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(1000))))
+        net = RegularNetwork(n, random_positive_volumes(rng, n), random_series(rng))
+        hops = unit_hop_costs(net.series, n)
+        expected = _closed_form_energy(net.volumes[: n - 1], hops) / hops[n]
+        assert q_n_min(net) == pytest.approx(expected, rel=1e-13, abs=0.0), n
+
+
 def test_far_end_volume_bounds_keep_precision():
     # near the far end q_{i+1,i} barely depends on Q_i, so q_i_max divides
     # by a small slope; reference: the same two-point root on the paper's
@@ -240,7 +253,7 @@ def test_far_end_volume_bounds_keep_precision():
     n = 1000
     rng = np.random.default_rng(985)
     net = RegularNetwork(n, unit_region_volumes(rng, n), random_series(rng))
-    hops = net.hop_costs()
+    hops = unit_hop_costs(net.series, net.n)
     e1 = hops[1]
     for i in (n - 46, n - 15, n - 1):
 
