@@ -11,6 +11,7 @@ shifts outside the feasible region (a routing flow went negative),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -54,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args leaves the parser as it was, so one serves every call
     parser = _Parser(prog="chainlife", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,15 +243,7 @@ _SUITE_DEFAULTS = {
 def _load_suite(path: str | None) -> dict:
     if path is None:
         return dict(_SUITE_DEFAULTS)
-    import json as _json
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = _json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except _json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    doc = docs.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("suite config must be an object")
     return {**_SUITE_DEFAULTS, **doc}

@@ -78,15 +78,19 @@ def parse_network(doc: Any) -> PerturbedNetwork:
         raise ConfigError(str(exc)) from exc
 
 
-def load_network(path: str) -> PerturbedNetwork:
+def read_json(path: str) -> Any:
+    """The JSON document in a config file; an unreadable or malformed file is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_network(doc)
+
+
+def load_network(path: str) -> PerturbedNetwork:
+    return parse_network(read_json(path))
 
 
 # ---------------------------------------------------------------------------

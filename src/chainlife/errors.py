@@ -45,9 +45,5 @@ class SingularMatrix(ChainlifeError):
     """The routing system matrix could not be factorized reliably."""
 
 
-class NoSignChange(ChainlifeError):
-    """A bracketed root search found no sign change: the boundary is the bracket end."""
-
-
 class NumericalStall(ChainlifeError):
     """The LP solve gave no optimum, or one that failed its primal or dual check."""

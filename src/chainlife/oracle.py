@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -63,19 +62,10 @@ class Certificate:
     arc: tuple[int, int]
 
 
-def chain_support_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Restricted arc set: direct to collector plus the left-neighbour hop."""
-    pairs = [(i, 0) for i in range(1, n + 1)]
-    pairs += [(i, i - 1) for i in range(2, n + 1)]
-    return tuple(sorted(pairs))
+def formulate(net) -> LpInstance:
+    """Build the LP for a chain over every directed arc (i, j), i != j.
 
-
-def formulate(net, pairs: Sequence[tuple[int, int]] | None = None) -> LpInstance:
-    """Build the LP for a chain.
-
-    ``pairs`` restricts the admissible arcs (direct-to-collector arcs are
-    always required so the problem stays feasible).  Each distinct distance
-    is costed once; a regular chain has n of them.
+    Each distinct distance is costed once; a regular chain has n of them.
     """
     n = net.n
     x = net.positions().x
@@ -88,19 +78,8 @@ def formulate(net, pairs: Sequence[tuple[int, int]] | None = None) -> LpInstance
                 if s not in by_distance:
                     by_distance[s] = transmission_cost(net.series, x[i], x[j])
                 costs[i, j] = by_distance[s]
-    if pairs is None:
-        chosen = [(i, j) for i in range(1, n + 1) for j in range(0, n + 1) if j != i]
-    else:
-        chosen = [(int(i), int(j)) for i, j in pairs]
-        for i, j in chosen:
-            if not (1 <= i <= n) or not (0 <= j <= n) or i == j:
-                raise ValueError(f"arc ({i},{j}) outside the network")
-        if len(set(chosen)) != len(chosen):
-            raise ValueError("duplicate arcs in the restriction")
-        missing = [i for i in range(1, n + 1) if (i, 0) not in chosen]
-        if missing:
-            raise ValueError(f"direct arcs to the collector missing for nodes {missing}")
-    return LpInstance(n, tuple(float(q) for q in net.volumes), tuple(chosen), costs)
+    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(0, n + 1) if j != i)
+    return LpInstance(n, tuple(float(q) for q in net.volumes), pairs, costs)
 
 
 def certify(inst: LpInstance) -> Certificate:

@@ -4,10 +4,10 @@ Node i sits at x_i = i - d_i with d_i in (-1, 1); a positive shift moves the
 node toward the collector, and the regular, unit-spaced chain is d = 0.  The
 equal-energy flow solves the conservation and pairwise energy-equality
 balance equations in one linear-time walk along the chain; the dense system
-of those rows is still assembled, as a test reference and for condition
-estimates.  The stability question is how far a single node may move before
-that flow stops being feasible, and hence stops solving the minimax energy
-problem.
+of those rows is assembled only as a test reference.  The stability
+question is how far a single node may move before that flow stops being
+feasible, and hence stops solving the minimax energy problem; its probes
+rerun the same walk with the three costs the moved node touches replaced.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .cost import CostSeries, Positions, transmission_cost
-from .errors import IndexOutOfRange, NegativeFlow, NoSignChange, SingularMatrix
+from .errors import IndexOutOfRange, NegativeFlow, SingularMatrix
 from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix
 
 BISECTION_TOL = 1e-10
@@ -139,6 +139,21 @@ def _equal_energy_flows(
     return q, energy
 
 
+def _checked_energies(
+    q: dict[tuple[int, int], float], direct: Sequence[float], left: Sequence[float]
+) -> list[float]:
+    """Node energies of a walk's flows; SingularMatrix when they disagree or are not finite."""
+    energies = [
+        q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
+        for i in range(1, len(direct))
+    ]
+    peak = max(energies)
+    spread = peak - min(energies)
+    if not spread <= EQUAL_ENERGY_TOL * max(1.0, abs(peak)):
+        raise SingularMatrix(f"energy spread {spread:.3e} after solve")
+    return energies
+
+
 def _equal_energy_solution(
     q: dict[tuple[int, int], float],
     common: float,
@@ -152,14 +167,7 @@ def _equal_energy_solution(
     NegativeFlow, raised only with ``check_flows``, names the most negative
     component.
     """
-    energies = [
-        q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
-        for i in range(1, len(direct))
-    ]
-    peak = max(energies)
-    spread = peak - min(energies)
-    if not spread <= EQUAL_ENERGY_TOL * max(1.0, abs(peak)):
-        raise SingularMatrix(f"energy spread {spread:.3e} after solve")
+    energies = _checked_energies(q, direct, left)
     if check_flows:
         worst = min(q, key=lambda key: q[key])
         if q[worst] < -FLOW_ZERO_TOL:
@@ -202,27 +210,21 @@ def system_determinant(net: PerturbedNetwork) -> float:
     return float(np.linalg.det(assemble_system(net).m))
 
 
-def _solve_raw(net: PerturbedNetwork, check_flows: bool = False) -> EqualEnergySolution:
-    direct, left = _costs(net)
-    q, energy = _equal_energy_flows(net.volumes, direct, left)
-    return _equal_energy_solution(q, energy, direct, left, check_flows)
-
-
 def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> EqualEnergySolution:
     """Solve the balance equations and package the equal-energy flow.
 
-    The one solve for every chain, regular or shifted.  Outside the stability
-    region the system still has a unique solution but
-    some component is negative and the flow no longer solves the minimax
-    problem.  With ``check_flows`` set (the default) that situation raises
-    NegativeFlow; disabling the check returns the signed solution for
-    boundary exploration.
+    The one solve for every chain, regular or shifted: the chain's costs,
+    the linear-time walk, then the energy-spread check.  A zero or infinite
+    hop cost, or node energies that disagree after the walk, raise
+    SingularMatrix.  Outside the stability region the system still has a
+    unique solution but some component is negative and the flow no longer
+    solves the minimax problem.  With ``check_flows`` set (the default) that
+    situation raises NegativeFlow; disabling the check returns the signed
+    solution for boundary exploration.
     """
-    try:
-        return _solve_raw(net, check_flows)
-    except SingularMatrix as exc:
-        cond = float(np.linalg.cond(assemble_system(net).m, 1))
-        raise SingularMatrix(f"{exc} (1-norm condition estimate {cond:.3e})") from None
+    direct, left = _costs(net)
+    q, energy = _equal_energy_flows(net.volumes, direct, left)
+    return _equal_energy_solution(q, energy, direct, left, check_flows)
 
 
 def node_energy_sn(net: PerturbedNetwork) -> float:
@@ -308,39 +310,48 @@ def flow_quadratics_a1(n: int, i: int, d: float) -> tuple[float, float]:
     return qi0, qip10
 
 
-def numeric_d_interval(
-    net: PerturbedNetwork, i: int, tol: float = BISECTION_TOL
-) -> StabilityInterval:
+def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
     """Shift interval of node i inside which every solved flow stays positive.
 
     All other shifts must be zero; the interval is located by bisection on
-    the smallest flow component of the solved system, to ``tol`` in d.  When
-    no component changes sign before the bracket end the boundary is the
-    geometric limit -1 or 1.
+    the smallest flow component of the solved system, to BISECTION_TOL in d.
+    The template chain is costed once: a probe at shift d recomputes only
+    D_i, L_i and L_{i+1}, the costs node i's move touches, and reruns the
+    walk and its energy-spread check.  When no component changes sign before
+    the bracket end the boundary is the geometric limit -1 or 1.
     """
     if not 1 <= i <= net.n:
         raise IndexOutOfRange(f"node {i} outside [1, {net.n}]")
     for k, d in enumerate(net.shifts, start=1):
         if k != i and d != 0.0:
             raise ValueError(f"template shift d_{k} = {d} must be zero")
+    direct, left = _costs(net)
+    series = net.series
 
     def min_flow(d: float) -> float:
-        shifts = [0.0] * net.n
-        shifts[i - 1] = d
-        probe = PerturbedNetwork(net.n, tuple(shifts), net.volumes, net.series)
+        # coordinates as Positions.from_shifts builds them: x_k = k - d_k
+        x = i - d
+        direct[i] = transmission_cost(series, x, 0.0)
+        left[i] = transmission_cost(series, x, i - 1.0)
+        if i < net.n:
+            left[i + 1] = transmission_cost(series, i + 1.0, x)
         try:
-            return _solve_raw(probe).flow.min_entry()
+            q, _ = _equal_energy_flows(net.volumes, direct, left)
+            _checked_energies(q, direct, left)
         except SingularMatrix:  # an ill-conditioned probe counts as infeasible
             return -math.inf
+        # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
+        return min(q.values())
 
-    if not min_flow(0.0) > 0.0:
-        raise NegativeFlow((i, 0), min_flow(0.0), "solved flow not positive at d = 0")
+    at_zero = min_flow(0.0)
+    if not at_zero > 0.0:
+        raise NegativeFlow((i, 0), at_zero, "solved flow not positive at d = 0")
 
-    def boundary(end: float) -> float:
+    def boundary(end: float, limit: float) -> float:
         if min_flow(end) > 0.0:
-            raise NoSignChange(f"flow stays positive through d = {end:.6g}")
+            return limit
         good, bad = 0.0, end
-        while abs(bad - good) > tol:
+        while abs(bad - good) > BISECTION_TOL:
             mid = 0.5 * (good + bad)
             if min_flow(mid) > 0.0:
                 good = mid
@@ -348,15 +359,9 @@ def numeric_d_interval(
                 bad = mid
         return 0.5 * (good + bad)
 
-    try:
-        lo = boundary(-1.0 + BRACKET_MARGIN)
-    except NoSignChange:
-        lo = -1.0
-    try:
-        hi = boundary(1.0 - BRACKET_MARGIN)
-    except NoSignChange:
-        hi = 1.0
-    return StabilityInterval(lo, hi)
+    return StabilityInterval(
+        boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
+    )
 
 
 def closed_form_a1(positions: Positions, volumes: Sequence[float]) -> EqualEnergySolution:

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import chainlife
-from chainlife import RegularNetwork, build_cost_series, cli, node_energy_closed_form, oracle
+from chainlife import (
+    RegularNetwork,
+    build_cost_series,
+    cli,
+    node_energy_closed_form,
+    oracle,
+    perturbed,
+)
 from chainlife.cli import main
 from chainlife.regular import raw_flows
 from chainlife.validate import FLOW_ZERO_TOL
@@ -164,6 +171,45 @@ def test_solve_perturbed_out_of_region(write_config, capsys):
     assert "stability" in capsys.readouterr().err
 
 
+def test_failed_walk_is_one_error_line(write_config, capsys, monkeypatch):
+    # the walk's own SingularMatrix, without a dense condition estimate
+    def dense(net):
+        pytest.fail("the solve assembled the dense system")
+
+    monkeypatch.setattr(perturbed, "assemble_system", dense)
+    n = 1500
+    path = write_config("net.json", quadratic_chain(n, shifts=[0.999999] + [0.0] * (n - 1)))
+    assert main(["solve-perturbed", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "energy spread" in lines[0]
+
+
+def test_one_parser_serves_every_call(write_config, capsys):
+    # a call that fails parsing halfway must leave nothing behind for the
+    # calls after it on the same parser
+    path = write_config("net.json", linear_chain(3))
+    calls = [
+        ["stability-d", "--input", path],
+        ["sweep", "--input", path, "--param", "d2", "--grid=-0.2:0.2:0.1", "--format", "csv"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        alone.append(capsys.readouterr().out)
+    cli._build_parser.cache_clear()
+    assert main(["stability-d", "--input", path, "--nodes", "2", "--format", "csv", "--bogus"]) == 1
+    assert capsys.readouterr().out == ""
+    together = []
+    for argv in calls:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+    assert together == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_solve_regular_rejects_shifted_config(write_config, capsys):
     path = write_config("net.json", quadratic_chain(3, shifts=[0.1, 0.0, 0.0]))
     assert main(["solve-regular", "--input", path]) == 1
@@ -275,6 +321,17 @@ def test_verify_rejects_bad_suite_values(write_config, capsys, key, value):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "suite" in lines[0]
+
+
+def test_verify_unreadable_or_malformed_suite_is_config_error(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n_values": [3],')
+    for path, reason in ((tmp_path / "missing.json", "cannot read"), (broken, "not valid JSON")):
+        assert main(["verify", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and reason in lines[0]
 
 
 def test_verify_without_draws_leaves_numpy_random_unloaded():

@@ -18,7 +18,6 @@ from chainlife.cost import CostSeries, transmission_cost
 from chainlife.oracle import (
     DEFAULT_VERIFY_TOL,
     certify,
-    chain_support_pairs,
     check_dual,
     formulate,
     solve,
@@ -61,16 +60,6 @@ def test_formulate_costs_each_arc_exactly(net):
     assert np.array_equal(formulate(net).costs, expected)
 
 
-def test_formulate_restriction_rules():
-    net = unit_net(3, 2.0)
-    with pytest.raises(ValueError):
-        formulate(net, pairs=[(1, 0), (2, 0)])  # (3, 0) missing
-    with pytest.raises(ValueError):
-        formulate(net, pairs=[(1, 0), (2, 0), (3, 0), (2, 2)])
-    with pytest.raises(ValueError):
-        formulate(net, pairs=[(1, 0), (2, 0), (3, 0), (2, 0)])
-
-
 def test_solve_two_and_three_node_chains():
     assert solve(formulate(unit_net(2, 2.0))).value == pytest.approx(7 / 4, abs=1e-10)
     assert solve(formulate(unit_net(3, 2.0))).value == pytest.approx(23 / 9, abs=1e-10)
@@ -86,15 +75,6 @@ def test_solution_flow_is_feasible():
         sent[j] -= value
     for i in range(1, 5):
         assert sent[i] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_restricted_support_reaches_same_optimum():
-    for n in (2, 4, 6):
-        for a in (1.0, 2.0):
-            net = unit_net(n, a)
-            full = solve(formulate(net)).value
-            restricted = solve(formulate(net, pairs=chain_support_pairs(n))).value
-            assert restricted == pytest.approx(full, abs=1e-9)
 
 
 def test_objective_scales_with_volumes():

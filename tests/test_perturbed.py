@@ -14,6 +14,7 @@ from chainlife import (
     RegularNetwork,
     SingularMatrix,
     assemble_system,
+    build_cost_series,
     closed_form_a1,
     energy_bounds_perturbed,
     flow_closed_form,
@@ -25,6 +26,8 @@ from chainlife import (
     stability_bounds_d,
     system_determinant,
 )
+from chainlife import perturbed
+from chainlife.perturbed import BISECTION_TOL, BRACKET_MARGIN
 from chainlife.validate import check_conservation
 
 from helpers import random_series, unit_region_volumes
@@ -121,6 +124,21 @@ def test_large_chains_keep_equal_energy():
     ):
         residual = float(np.max(np.abs(check_conservation(sol.flow, volumes))))
         assert residual <= 1e-9 * max(1.0, max(volumes))
+
+
+def test_failed_walk_raises_without_the_dense_system(monkeypatch):
+    # node 1 a millionth from the collector: the walk's energies disagree,
+    # and the error must come from the walk, not from an O(n^3) estimate
+    def dense(net):
+        pytest.fail("the solve assembled the dense system")
+
+    monkeypatch.setattr(perturbed, "assemble_system", dense)
+    n = 1500
+    net = PerturbedNetwork(
+        n, (0.999999,) + (0.0,) * (n - 1), (1.0,) * n, single_exponent_series(2.0)
+    )
+    with pytest.raises(SingularMatrix, match="energy spread"):
+        solve_equal_energy(net)
 
 
 def test_zero_hop_cost_is_singular():
@@ -268,6 +286,59 @@ def test_numeric_interval_far_node():
         unit_perturbed(4, 2.0, (0.0, 0.0, 0.0, interval.lo)), check_flows=False
     )
     assert min(v for _, v in at_edge.flow.items()) == pytest.approx(0.0, abs=1e-8)
+
+
+def _reference_d_interval(net: PerturbedNetwork, i: int) -> tuple[float, float]:
+    """The bisection with a full solve of the shifted chain per probe."""
+
+    def min_flow(d: float) -> float:
+        shifts = [0.0] * net.n
+        shifts[i - 1] = d
+        probe = PerturbedNetwork(net.n, tuple(shifts), net.volumes, net.series)
+        try:
+            return solve_equal_energy(probe, check_flows=False).flow.min_entry()
+        except SingularMatrix:
+            return -math.inf
+
+    def boundary(end: float, limit: float) -> float:
+        if min_flow(end) > 0.0:
+            return limit
+        good, bad = 0.0, end
+        while abs(bad - good) > BISECTION_TOL:
+            mid = 0.5 * (good + bad)
+            if min_flow(mid) > 0.0:
+                good = mid
+            else:
+                bad = mid
+        return 0.5 * (good + bad)
+
+    assert min_flow(0.0) > 0.0
+    return boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
+
+
+def test_numeric_interval_matches_full_solve_bisection():
+    # probes that recost only the moved node must find the same endpoints,
+    # bit for bit, as probes that solve the whole shifted chain
+    rng = np.random.default_rng(8080)
+    for _ in range(12):
+        n = int(rng.integers(1, 25))
+        w = float(rng.uniform(0.2, 0.8))
+        series = build_cost_series(
+            [(w, float(rng.uniform(1.0, 2.0))), (1.0 - w, float(rng.uniform(2.0, 4.0)))]
+        )
+        net = PerturbedNetwork(n, (0.0,) * n, unit_region_volumes(rng, n), series)
+        for i in range(1, n + 1):
+            interval = numeric_d_interval(net, i)
+            assert (interval.lo, interval.hi) == _reference_d_interval(net, i), (n, i)
+
+
+def test_numeric_interval_probes_run_the_spread_check(monkeypatch):
+    # under a spread tolerance no walk can meet, every probe is infeasible,
+    # the unshifted one included
+    monkeypatch.setattr(perturbed, "EQUAL_ENERGY_TOL", -1.0)
+    with pytest.raises(NegativeFlow) as info:
+        numeric_d_interval(unit_perturbed(3, 2.0), 2)
+    assert info.value.value == -math.inf
 
 
 def test_numeric_interval_guards():
