@@ -32,6 +32,7 @@ from .perturbed import (
     numeric_d_interval,
     solve_equal_energy,
     stability_bounds_d,
+    sweep,
 )
 from .regular import (
     RegularNetwork,
@@ -43,7 +44,6 @@ from .regular import (
 )
 # unused here: bench/spans.py traces these two by their names in this module
 from .regular import node_energy_closed_form, raw_flows  # noqa: F401
-from .validate import FLOW_ZERO_TOL
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
 
@@ -350,19 +350,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(net: PerturbedNetwork, kind: str, index: int, value: float):
-    volumes, shifts = list(net.volumes), list(net.shifts)
-    (volumes if kind == "Q" else shifts)[index - 1] = value
-    try:
-        probe = PerturbedNetwork(net.n, tuple(shifts), tuple(volumes), net.series)
-    except ValueError as exc:  # a shift that moves a node past its neighbour
-        raise ConfigError(f"{kind}{index} = {value:g}: {exc}") from None
-    sol = solve_equal_energy(probe, check_flows=False)
-    min_flow = sol.flow.min_entry()
-    energy = sol.common_energy if min_flow >= -FLOW_ZERO_TOL else None
-    return energy, min_flow
-
-
 def _cmd_sweep(args) -> int:
     net = docs.load_network(_require_input(args))
     match = _PARAM_RE.match(args.param)
@@ -372,15 +359,10 @@ def _cmd_sweep(args) -> int:
     index = int(index_text)
     if not 1 <= index <= net.n:
         raise ConfigError(f"parameter index {index} outside 1..{net.n}")
-    grid = _parse_grid(args.grid)
-    if kind == "Q" and any(v <= 0 for v in grid):
-        raise ConfigError("volume grid values must be positive")
-    if kind == "d" and any(abs(v) >= 1 for v in grid):
-        raise ConfigError("shift grid values must stay inside (-1, 1)")
-    rows = []
-    for value in grid:
-        energy, min_flow = _sweep_point(net, kind, index, value)
-        rows.append((value, energy, min_flow))
+    try:
+        rows = sweep(net, kind, index, _parse_grid(args.grid))
+    except ValueError as exc:  # a grid value outside the chain's domain
+        raise ConfigError(str(exc)) from None
     if args.format == "csv":
         _write(args, docs.sweep_csv(rows))
     else:

@@ -6,14 +6,16 @@ equal-energy flow solves the conservation and pairwise energy-equality
 balance equations in one linear-time walk along the chain; the dense system
 of those rows is assembled only as a test reference.  The stability
 question is how far a single node may move before that flow stops being
-feasible, and hence stops solving the minimax energy problem; its probes
-rerun the same walk with the three costs the moved node touches replaced.
+feasible, and hence stops solving the minimax energy problem.  A move of
+one node changes only the three costs it touches, so a stability probe is
+O(1) once two O(n) passes have summed up the rest of the chain, and a
+sweep costs the chain once and reruns only the walk per grid point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -310,15 +312,123 @@ def flow_quadratics_a1(n: int, i: int, d: float) -> tuple[float, float]:
     return qi0, qip10
 
 
+def _move_node(
+    series: CostSeries,
+    x: Sequence[float],
+    i: int,
+    d: float,
+    direct: list[float],
+    left: list[float],
+) -> tuple[float, float, float | None]:
+    """Recost node i of chain x moved to i - d, in place in direct and left.
+
+    Returns D_i, L_i and L_{i+1} (None for the last node).  The coordinate is
+    built as Positions.from_shifts builds it, so each cost equals, bit for
+    bit, the one the moved chain's own costing computes.
+    """
+    xi = i - d
+    direct[i] = transmission_cost(series, xi, 0.0)
+    left[i] = transmission_cost(series, xi, x[i - 1])
+    if i + 1 == len(x):
+        return direct[i], left[i], None
+    left[i + 1] = transmission_cost(series, x[i + 1], xi)
+    return direct[i], left[i], left[i + 1]
+
+
+def _shift_probe(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], i: int
+) -> Callable[[float, float, float | None], bool]:
+    """An O(1) test of whether the walk's flows stay positive once node i is recosted.
+
+    A move of node i changes only D_i, L_i and L_{i+1}.  The relay
+    r_{i-1} = q_{i,i-1} = a + b E comes from the forward walk over nodes
+    1..i-1, and r_{i+1} = q_{i+2,i+1} = c + e E from walking back from
+    r_n = 0 over nodes n..i+2 with r_{k-1} = (r_k + Q_k - E / D_k) / s_k,
+    s_k = 1 - L_k / D_k.  Every flow component but q_{i,0}, q_{i+1,0} and
+    q_{i+1,i} is therefore affine in E with fixed coefficients, and their
+    positivity is one open window lo < E < hi, found in the same two passes.
+    The returned test takes the three new costs, solves for E and checks the
+    window and the three remaining components; a zero division fails it.
+    """
+    n = len(volumes)
+    terms: list[tuple[float, float]] = []  # (alpha, beta) of each fixed alpha + beta E
+    a = b = 0.0
+    for k in range(1, i):
+        terms.append((-a * left[k] / direct[k], (1.0 - b * left[k]) / direct[k]))
+        shrink = 1.0 - left[k] / direct[k]
+        a = a * shrink - float(volumes[k - 1])
+        b = b * shrink + 1.0 / direct[k]
+        terms.append((a, b))
+    c = e = 0.0
+    for k in range(n, i + 1, -1):
+        shrink = 1.0 - left[k] / direct[k]
+        c = (c + float(volumes[k - 1])) / shrink
+        e = (e - 1.0 / direct[k]) / shrink
+        terms.append((-c * left[k] / direct[k], (1.0 - e * left[k]) / direct[k]))
+        terms.append((c, e))
+    lo = max((-al / be for al, be in terms if be > 0.0), default=-math.inf)
+    hi = min((-al / be for al, be in terms if be < 0.0), default=math.inf)
+    if any(be == 0.0 and not al > 0.0 for al, be in terms):
+        lo = math.inf
+    volume = float(volumes[i - 1])
+    if i < n:
+        next_volume, next_direct = float(volumes[i]), direct[i + 1]
+
+    def feasible(d_i: float, l_i: float, l_next: float | None) -> bool:
+        try:
+            shrink = 1.0 - l_i / d_i
+            ra = a * shrink - volume  # r_i = q_{i+1,i} = ra + rb E
+            rb = b * shrink + 1.0 / d_i
+            if i == n:
+                energy = -ra / rb
+            else:
+                s_next = 1.0 - l_next / next_direct
+                energy = (c + next_volume - s_next * ra) / (s_next * rb + 1.0 / next_direct - e)
+            if not (lo < energy < hi and (energy - (a + b * energy) * l_i) / d_i > 0.0):
+                return False
+            if i == n:
+                return True
+            relay = ra + rb * energy
+            return relay > 0.0 and (energy - relay * l_next) / next_direct > 0.0
+        except ZeroDivisionError:
+            return False
+
+    return feasible
+
+
+def _bisect(feasible: Callable[[float], bool], end: float) -> tuple[float, float | None]:
+    """The last feasible probe on [0, end] and the final bracket's midpoint.
+
+    The midpoint is None when ``end`` itself is feasible.  The probes halve
+    the bracket from 0 until it is no wider than BISECTION_TOL.
+    """
+    if feasible(end):
+        return end, None
+    good, bad = 0.0, end
+    while abs(bad - good) > BISECTION_TOL:
+        mid = 0.5 * (good + bad)
+        if feasible(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, 0.5 * (good + bad)
+
+
 def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
     """Shift interval of node i inside which every solved flow stays positive.
 
     All other shifts must be zero; the interval is located by bisection on
-    the smallest flow component of the solved system, to BISECTION_TOL in d.
-    The template chain is costed once: a probe at shift d recomputes only
-    D_i, L_i and L_{i+1}, the costs node i's move touches, and reruns the
-    walk and its energy-spread check.  When no component changes sign before
-    the bracket end the boundary is the geometric limit -1 or 1.
+    the sign of the smallest flow component of the solved system, to
+    BISECTION_TOL in d.  When no component changes sign before the bracket
+    end the boundary is the geometric limit -1 or 1.
+
+    The template chain is costed once, and a probe at shift d recomputes
+    only D_i, L_i and L_{i+1}, the costs node i's move touches.  The probes
+    of the bisection are O(1) (see _shift_probe); full walks with their
+    energy-spread check run at d = 0, where NegativeFlow names the most
+    negative component, and at the last feasible probe of each side.  Should
+    that walk disagree, the side is bisected again with a full walk per
+    probe, so the endpoints are always those of full-walk probes.
     """
     if not 1 <= i <= net.n:
         raise IndexOutOfRange(f"node {i} outside [1, {net.n}]")
@@ -326,42 +436,80 @@ def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
         if k != i and d != 0.0:
             raise ValueError(f"template shift d_{k} = {d} must be zero")
     direct, left = _costs(net)
-    series = net.series
+    x, series, volumes = net.positions().x, net.series, net.volumes
 
-    def min_flow(d: float) -> float:
-        # coordinates as Positions.from_shifts builds them: x_k = k - d_k
-        x = i - d
-        direct[i] = transmission_cost(series, x, 0.0)
-        left[i] = transmission_cost(series, x, i - 1.0)
-        if i < net.n:
-            left[i + 1] = transmission_cost(series, i + 1.0, x)
+    def flows(d: float) -> dict[tuple[int, int], float]:
+        _move_node(series, x, i, d, direct, left)
         try:
-            q, _ = _equal_energy_flows(net.volumes, direct, left)
+            q, _ = _equal_energy_flows(volumes, direct, left)
             _checked_energies(q, direct, left)
-        except SingularMatrix:  # an ill-conditioned probe counts as infeasible
-            return -math.inf
+        except SingularMatrix:  # an ill-conditioned walk counts as infeasible
+            return {(i, 0): -math.inf}
         # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
-        return min(q.values())
+        return q
 
-    at_zero = min_flow(0.0)
-    if not at_zero > 0.0:
-        raise NegativeFlow((i, 0), at_zero, "solved flow not positive at d = 0")
+    q = flows(0.0)
+    worst = min(q, key=q.__getitem__)
+    if not q[worst] > 0.0:
+        raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
+    probe = _shift_probe(volumes, direct, left, i)
+
+    def fast(d: float) -> bool:
+        return probe(*_move_node(series, x, i, d, direct, left))
+
+    def full(d: float) -> bool:
+        return min(flows(d).values()) > 0.0
 
     def boundary(end: float, limit: float) -> float:
-        if min_flow(end) > 0.0:
-            return limit
-        good, bad = 0.0, end
-        while abs(bad - good) > BISECTION_TOL:
-            mid = 0.5 * (good + bad)
-            if min_flow(mid) > 0.0:
-                good = mid
-            else:
-                bad = mid
-        return 0.5 * (good + bad)
+        good, edge = _bisect(fast, end)
+        if not full(good):
+            good, edge = _bisect(full, end)
+        return limit if edge is None else edge
 
     return StabilityInterval(
         boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
     )
+
+
+def sweep(
+    net: PerturbedNetwork, kind: str, index: int, grid: Sequence[float]
+) -> list[tuple[float, float | None, float]]:
+    """(value, common energy, smallest flow) with Q_index or d_index set to each value.
+
+    ``kind`` is "Q" or "d" and index is a node in 1..n.  The chain is costed
+    once: a volume point reruns only the walk, and a shift point recosts
+    D_index, L_index and L_index+1 first.  Each point runs the energy-spread
+    check and reads its smallest flow after FlowMatrix's clamp; the energy
+    is None where that flow is below -FLOW_ZERO_TOL.  A volume that is not
+    positive, a shift outside (-1, 1) or one that moves the node past a
+    neighbour raise ValueError; node energies that disagree raise
+    SingularMatrix.
+    """
+    if kind == "Q" and any(v <= 0 for v in grid):
+        raise ValueError("volume grid values must be positive")
+    if kind == "d" and any(abs(v) >= 1 for v in grid):
+        raise ValueError("shift grid values must stay inside (-1, 1)")
+    direct, left = _costs(net)
+    x = net.positions().x
+    volumes = list(net.volumes)
+    rows = []
+    for value in grid:
+        if kind == "Q":
+            volumes[index - 1] = value
+        else:
+            moved = index - float(value)
+            right = x[index + 1] if index < net.n else math.inf
+            if not x[index - 1] < moved < right:
+                k = index if not x[index - 1] < moved else index + 1
+                raise ValueError(
+                    f"d{index} = {value:g}: coordinates must increase strictly (index {k})"
+                )
+            _move_node(net.series, x, index, value, direct, left)
+        q, energy = _equal_energy_flows(volumes, direct, left)
+        sol = _equal_energy_solution(q, energy, direct, left, check_flows=False)
+        min_flow = sol.flow.min_entry()
+        rows.append((value, energy if min_flow >= -FLOW_ZERO_TOL else None, min_flow))
+    return rows
 
 
 def closed_form_a1(positions: Positions, volumes: Sequence[float]) -> EqualEnergySolution:

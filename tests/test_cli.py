@@ -11,6 +11,7 @@ import pytest
 
 import chainlife
 from chainlife import (
+    PerturbedNetwork,
     RegularNetwork,
     build_cost_series,
     cli,
@@ -18,11 +19,15 @@ from chainlife import (
     oracle,
     perturbed,
 )
+from chainlife import documents as docs
 from chainlife.cli import main
+from chainlife.errors import ConfigError
 from chainlife.regular import raw_flows
 from chainlife.validate import FLOW_ZERO_TOL
-from chainlife.cost import CostSeries
+from chainlife.cost import CostSeries, series_to_terms
 from chainlife.oracle import Certificate
+
+from helpers import random_series, unit_region_volumes
 
 
 @pytest.fixture()
@@ -468,6 +473,57 @@ def test_sweep_shift_that_reorders_nodes_is_config_error(write_config, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: d3 = 0.6")
+
+
+def _sweep_point(net: PerturbedNetwork, kind: str, index: int, value: float):
+    """One sweep row from a full solve of the chain with the one value replaced."""
+    volumes, shifts = list(net.volumes), list(net.shifts)
+    (volumes if kind == "Q" else shifts)[index - 1] = value
+    try:
+        probe = PerturbedNetwork(net.n, tuple(shifts), tuple(volumes), net.series)
+    except ValueError as exc:  # a shift that moves a node past its neighbour
+        raise ConfigError(f"{kind}{index} = {value:g}: {exc}") from None
+    sol = perturbed.solve_equal_energy(probe, check_flows=False)
+    min_flow = sol.flow.min_entry()
+    energy = sol.common_energy if min_flow >= -FLOW_ZERO_TOL else None
+    return energy, min_flow
+
+
+def test_sweep_matches_a_full_solve_per_point(write_config, capsys):
+    # a sweep costs the chain once and reruns only the walk per point; its
+    # bytes must be those of solving each point's chain anew
+    rng = np.random.default_rng(9090)
+    exits = []
+    for case in range(24):
+        n = int(rng.integers(2, 30))
+        series = random_series(rng)
+        shifts = [float(v) for v in rng.uniform(-0.3, 0.3, size=n)]
+        if case % 2:
+            volumes = [float(v) for v in rng.uniform(0.1, 3.0, size=n)]
+        else:
+            volumes = list(unit_region_volumes(rng, n))
+        net = PerturbedNetwork(n, tuple(shifts), tuple(volumes), series)
+        doc = {"n": n, "volumes": volumes, "shifts": shifts,
+               "cost": {"terms": series_to_terms(series)}}
+        path = write_config("net.json", doc)
+        index = int(rng.integers(1, n + 1))
+        for param, grid in ((f"Q{index}", "0.1:3:0.29"), (f"d{index}", "-0.9:0.9:0.15")):
+            fmt = ("json", "csv")[case % 2]
+            try:
+                rows = [(v, *_sweep_point(net, param[0], index, v))
+                        for v in cli._parse_grid(grid)]
+            except ConfigError as exc:
+                expected = (1, "", f"error: {exc}\n")
+            else:
+                text = (docs.sweep_csv(rows) if fmt == "csv"
+                        else docs.json_dumps(docs.sweep_document(rows)))
+                expected = (0, text, "")
+            code = main(["sweep", "--input", path, "--param", param, f"--grid={grid}",
+                         "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected, (case, param)
+            exits.append(code)
+    assert 0 in exits and 1 in exits
 
 
 def _sweep_rows(path: str, param: str, grid: str, capsys) -> list[dict]:

@@ -341,6 +341,114 @@ def test_numeric_interval_probes_run_the_spread_check(monkeypatch):
     assert info.value.value == -math.inf
 
 
+def test_numeric_interval_names_the_negative_component():
+    # only q_{2,1} is negative on this chain; q_{1,0} carries +0.85
+    net = PerturbedNetwork(2, (0.0, 0.0), (1.0, 0.1), single_exponent_series(2.0))
+    signed = solve_equal_energy(net, check_flows=False).flow
+    with pytest.raises(NegativeFlow) as info:
+        numeric_d_interval(net, 1)
+    assert info.value.component == (2, 1)
+    assert info.value.value == signed.amount(2, 1)
+    assert info.value.value == pytest.approx(-0.15, abs=1e-12)
+    assert signed.amount(1, 0) > 0.0
+
+
+def test_numeric_interval_ends_match_a_dense_scan():
+    # the feasible shifts of a node are one interval around 0, and a scan
+    # of 2,001 full solves finds its ends within one grid step
+    rng = np.random.default_rng(2001)
+    step = 1.0 / 1001
+    grid = [k * step for k in range(-1000, 1001)]
+    for n in (2, 5, 10):
+        net = PerturbedNetwork(n, (0.0,) * n, unit_region_volumes(rng, n), random_series(rng))
+        for i in range(1, n + 1):
+            feasible = []
+            for d in grid:
+                shifts = [0.0] * n
+                shifts[i - 1] = d
+                probe = PerturbedNetwork(n, tuple(shifts), net.volumes, net.series)
+                try:
+                    sol = solve_equal_energy(probe, check_flows=False)
+                except SingularMatrix:
+                    continue
+                if sol.flow.min_entry() > 0.0:
+                    feasible.append(d)
+            first, last = grid.index(feasible[0]), grid.index(feasible[-1])
+            assert len(feasible) == last - first + 1, (n, i)
+            assert feasible[0] <= 0.0 <= feasible[-1], (n, i)
+            interval = numeric_d_interval(net, i)
+            assert abs(interval.lo - feasible[0]) <= step, (n, i)
+            assert abs(interval.hi - feasible[-1]) <= step, (n, i)
+
+
+def test_shift_probe_decides_as_the_full_solve():
+    # the O(1) probe of a recosted node and the full solve of the shifted
+    # chain agree on feasibility wherever the smallest flow is clear of 0,
+    # also where the only negative flows lie outside the three it recomputes
+    rng = np.random.default_rng(6060)
+    window = relay = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        volumes = tuple(float(v) for v in rng.uniform(0.1, 3.0, size=n))
+        net = PerturbedNetwork(n, (0.0,) * n, volumes, random_series(rng))
+        x = net.positions().x
+        for i in range(1, n + 1):
+            direct, left = perturbed._costs(net)
+            probe = perturbed._shift_probe(volumes, direct, left, i)
+            for d in rng.uniform(-0.999, 0.999, size=10):
+                shifts = [0.0] * n
+                shifts[i - 1] = float(d)
+                probe_net = PerturbedNetwork(n, tuple(shifts), volumes, net.series)
+                flow = solve_equal_energy(probe_net, check_flows=False).flow
+                if abs(flow.min_entry()) < 1e-9:
+                    continue
+                costs = perturbed._move_node(net.series, x, i, float(d), direct, left)
+                feasible = probe(*costs)
+                assert feasible == (flow.min_entry() > 0.0), (n, i, d)
+                negative = {key for key, v in flow.items() if v < 0.0}
+                window += bool(negative) and not negative & {(i, 0), (i + 1, 0), (i + 1, i)}
+                relay += negative == {(i + 1, i)}
+    assert window > 0 and relay > 0
+
+
+def _counted_walks(monkeypatch) -> list[int]:
+    calls = [0]
+    walk = perturbed._equal_energy_flows
+
+    def counted(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(perturbed, "_equal_energy_flows", counted)
+    return calls
+
+
+def test_numeric_interval_falls_back_when_the_endpoint_walk_fails(monkeypatch):
+    # a probe that calls every shift feasible ends each side at the bracket
+    # end, whose full walk fails where the flow turns negative first: that
+    # side is bisected again with full walks, to the reference's endpoints
+    monkeypatch.setattr(perturbed, "_shift_probe", lambda *args: lambda *costs: True)
+    calls = _counted_walks(monkeypatch)
+    for n, a, i in ((3, 1.0, 1), (4, 2.0, 2), (4, 2.0, 4), (6, 3.0, 3)):
+        net = unit_perturbed(n, a)
+        calls[0] = 0
+        interval = numeric_d_interval(net, i)
+        assert calls[0] > 3
+        assert (interval.lo, interval.hi) == _reference_d_interval(net, i), (n, a, i)
+
+
+@pytest.mark.parametrize("n", [10, 500])
+def test_numeric_interval_runs_three_walks(monkeypatch, n):
+    # the bisection's probes are O(1): full walks run at d = 0 and at each
+    # side's last feasible probe only, so an interval costs O(n), not O(70 n)
+    calls = _counted_walks(monkeypatch)
+    net = unit_perturbed(n, 2.0)
+    for i in sorted({1, 2, n // 2, n - 1, n}):
+        calls[0] = 0
+        numeric_d_interval(net, i)
+        assert calls[0] <= 3, (n, i)
+
+
 def test_numeric_interval_guards():
     with pytest.raises(ValueError):
         numeric_d_interval(unit_perturbed(3, 1.0, (0.0, 0.1, 0.0)), 1)
