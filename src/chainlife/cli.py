@@ -46,6 +46,7 @@ from .regular import (
 from .regular import node_energy_closed_form, raw_flows  # noqa: F401
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
+_MAX_GRID_STEPS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,8 +92,11 @@ def _build_parser() -> _Parser:
 
 def _write(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -136,6 +140,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"--grid needs finite LO, HI and STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--grid needs STEP > 0 and HI >= LO")
+    if (hi - lo) / step > _MAX_GRID_STEPS:
+        raise ConfigError(f"--grid {spec!r} has more than {_MAX_GRID_STEPS} steps")
     values = []
     k = 0
     eps = step * 1e-9
@@ -330,6 +336,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(exponents, list):
         raise ConfigError("suite exponents must be a list of numbers")
     draws = _suite_count(suite["random_q"], "suite random_q")
+    if draws and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative for random draws, got {args.seed}")
     # creating a generator imports numpy.random; a suite without draws skips it
     rng = np.random.default_rng(args.seed) if draws else None
     rows = []

@@ -1,8 +1,8 @@
 """Minimax-energy linear program: a dual certificate and a checked LP solve.
 
 The closed-form solvers claim to minimize the worst per-node energy.  This
-module states that claim as a plain linear program over all directed flows
-(epigraph variable t bounding every node's energy).  Any dual-feasible point
+module states that claim as a linear program over every directed arc, held as
+its arc-cost matrix, with t bounding every node's energy.  Any dual-feasible point
 bounds the optimum from below, so a bound equal to a feasible flow's worst
 energy, with no violated arc, is a proof of optimality; :func:`check_dual`
 judges a dual point that way.  :func:`certify` builds the point in closed
@@ -33,12 +33,16 @@ DEFAULT_VERIFY_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LpInstance:
-    """One minimax routing problem: volumes, admissible arcs, and arc costs."""
+    """The LP of one chain: volumes, and costs[i, j] on each arc of ``arcs(len(volumes))``."""
 
-    n: int
     volumes: tuple[float, ...]
-    pairs: tuple[tuple[int, int], ...]
     costs: np.ndarray
+
+
+def arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of every arc (i, j), i in 1..n, j in 0..n, j != i, row by row."""
+    tails, heads = np.nonzero(~np.eye(n + 1, dtype=bool)[1:])
+    return tails + 1, heads
 
 
 @dataclass(frozen=True)
@@ -63,23 +67,14 @@ class Certificate:
 
 
 def formulate(net) -> LpInstance:
-    """Build the LP for a chain over every directed arc (i, j), i != j.
-
-    Each distinct distance is costed once; a regular chain has n of them.
-    """
-    n = net.n
-    x = net.positions().x
-    costs = np.zeros((n + 1, n + 1))
-    by_distance: dict[float, float] = {}
-    for i in range(1, n + 1):
-        for j in range(0, n + 1):
-            if i != j:
-                s = abs(x[i] - x[j])
-                if s not in by_distance:
-                    by_distance[s] = transmission_cost(net.series, x[i], x[j])
-                costs[i, j] = by_distance[s]
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(0, n + 1) if j != i)
-    return LpInstance(n, tuple(float(q) for q in net.volumes), pairs, costs)
+    """Build the LP of a chain, costing each distinct distance once (n on a regular chain)."""
+    x = np.array(net.positions().x)
+    distinct, index = np.unique(np.abs(x[1:, None] - x), return_inverse=True)
+    # distinct[0] is the diagonal's zero; Python floats keep transmission_cost's own powers
+    priced = [0.0] + [transmission_cost(net.series, 0.0, s) for s in distinct[1:].tolist()]
+    costs = np.zeros((x.size, x.size))
+    costs[1:] = np.array(priced)[index.reshape(x.size - 1, x.size)]
+    return LpInstance(tuple(float(q) for q in net.volumes), costs)
 
 
 def certify(inst: LpInstance) -> Certificate:
@@ -102,7 +97,7 @@ def certify(inst: LpInstance) -> Certificate:
     arc (a cost series that is not superadditive), no nonnegative multiplier
     exists: the certificate reports infinite slack on that hop and bound 0.
     """
-    n, costs = inst.n, inst.costs
+    n, costs = len(inst.volumes), inst.costs
     direct = costs[1:, 0]
     hop = np.arange(2, n + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -123,16 +118,16 @@ def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
     multipliers, both indexed by node with 0 for the collector.  The point
     is first scaled so that sum mu = 1, the dual constraint of the free
     epigraph variable t.  The bound is sum_i Q_i pi_i, and the slack of arc
-    (i, j) is pi_i - pi_j - mu_i c_ij; the certificate reports the worst.
+    (i, j) is pi_i - pi_j - mu_i c_ij; the certificate reports the first worst arc.
     """
     total = mu.sum()
     pi = pi / total
     mu = mu / total
-    tails, heads = np.array(inst.pairs).T
+    tails, heads = arcs(len(inst.volumes))
     slack = pi[tails] - pi[heads] - mu[tails] * inst.costs[tails, heads]
     worst = int(np.argmax(slack))
     bound = float(np.dot(inst.volumes, pi[1:]))
-    return Certificate(bound, float(slack[worst]), inst.pairs[worst])
+    return Certificate(bound, float(slack[worst]), (int(tails[worst]), int(heads[worst])))
 
 
 def solve(inst: LpInstance) -> LpSolution:
@@ -150,38 +145,40 @@ def solve(inst: LpInstance) -> LpSolution:
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
 
-    n, arcs, tol = inst.n, len(inst.pairs), DEFAULT_VERIFY_TOL
-    tails, heads = np.array(inst.pairs).T
+    n, tol = len(inst.volumes), DEFAULT_VERIFY_TOL
+    tails, heads = arcs(n)
+    m = tails.size
     arc_costs = inst.costs[tails, heads]
     # columns: one flow per arc, then t; rows: conservation, then energy - t <= 0.
     # Sparse, because dense rows over all n^2 arcs would hold n^3 entries.
-    col = np.arange(arcs)
+    col = np.arange(m)
     inner = heads >= 1
     a_eq = coo_array(
-        (np.r_[np.ones(arcs), -np.ones(inner.sum())],
+        (np.r_[np.ones(m), -np.ones(inner.sum())],
          (np.r_[tails, heads[inner]] - 1, np.r_[col, col[inner]])),
-        shape=(n, arcs + 1),
+        shape=(n, m + 1),
     )
     a_ub = coo_array(
-        (np.r_[arc_costs, -np.ones(n)], (np.r_[tails - 1, np.arange(n)], np.r_[col, [arcs] * n])),
-        shape=(n, arcs + 1),
+        (np.r_[arc_costs, -np.ones(n)], (np.r_[tails - 1, np.arange(n)], np.r_[col, [m] * n])),
+        shape=(n, m + 1),
     )
-    c = np.zeros(arcs + 1)
-    c[arcs] = 1.0
+    c = np.zeros(m + 1)
+    c[m] = 1.0
     result = linprog(
         c,
         A_ub=a_ub,
         b_ub=np.zeros(n),
         A_eq=a_eq,
         b_eq=inst.volumes,
-        bounds=[(0, None)] * arcs + [(None, None)],
+        bounds=[(0, None)] * m + [(None, None)],
         method="highs-ipm",
     )
     if result.status != 0:
         raise NumericalStall(f"HiGHS found no LP optimum: {result.message}")
     value = float(result.fun)
-    x = result.x[:arcs]
-    flow = FlowMatrix(n, {pair: float(v) for pair, v in zip(inst.pairs, x) if v > 0.0})
+    x = result.x[:m]
+    sent = np.flatnonzero(x > 0.0)
+    flow = FlowMatrix(n, {(int(tails[k]), int(heads[k])): float(x[k]) for k in sent})
     residual = float(np.max(np.abs(check_conservation(flow, inst.volumes))))
     lowest = float(np.min(x))
     volume_scale = max(1.0, max(inst.volumes))

@@ -475,6 +475,48 @@ def test_sweep_shift_that_reorders_nodes_is_config_error(write_config, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: d3 = 0.6")
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:2e6:1", "0:1e308:1e-10"])
+def test_sweep_rejects_a_grid_of_too_many_steps(write_config, capsys, grid):
+    path = write_config("net.json", quadratic_chain(2))
+    assert main(["sweep", "--input", path, "--param", "Q1", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --grid") and "steps" in lines[0]
+
+
+def test_grid_of_the_most_steps_is_accepted():
+    values = cli._parse_grid("0:1000000:1")
+    assert len(values) == 1_000_001 and values[-1] == 1_000_000.0
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_output_that_cannot_be_written_is_config_error(write_config, tmp_path, capsys, where):
+    path = write_config("net.json", quadratic_chain(2))
+    out = tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path
+    assert main(["solve-regular", "--input", path, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_verify_negative_seed_with_draws_is_config_error(write_config, capsys):
+    doc = {"n_values": [3], "exponents": [2.0], "volumes": "unit", "random_q": 2}
+    suite = write_config("suite.json", doc)
+    assert main(["verify", "--input", suite, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --seed")
+    # without draws the seed is unused
+    suite = write_config("plain.json", {**doc, "random_q": 0})
+    assert main(["verify", "--input", suite, "--seed", "-1"]) == 0
+    negative = capsys.readouterr()
+    assert main(["verify", "--input", suite]) == 0
+    assert capsys.readouterr() == negative
+
+
 def _sweep_point(net: PerturbedNetwork, kind: str, index: int, value: float):
     """One sweep row from a full solve of the chain with the one value replaced."""
     volumes, shifts = list(net.volumes), list(net.shifts)

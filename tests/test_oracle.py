@@ -1,6 +1,8 @@
 """Minimax LP: the dual certificate and the checked HiGHS solve against the closed forms."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from chainlife import (
     raw_flows,
     single_exponent_series,
 )
+from chainlife import oracle
 from chainlife.cost import CostSeries, transmission_cost
 from chainlife.oracle import (
     DEFAULT_VERIFY_TOL,
+    arcs,
     certify,
     check_dual,
     formulate,
@@ -31,8 +35,64 @@ def unit_net(n: int, a: float) -> RegularNetwork:
 
 
 def test_formulate_full_arc_count():
-    assert len(formulate(unit_net(2, 2.0)).pairs) == 4
-    assert len(formulate(unit_net(3, 2.0)).pairs) == 9
+    # the arcs follow from n: every (i, j) with i in 1..n, j in 0..n, j != i
+    for n in (2, 3):
+        inst = formulate(unit_net(n, 2.0))
+        tails, heads = arcs(len(inst.volumes))
+        assert tails.size == heads.size == n * n
+        assert np.count_nonzero(inst.costs) == n * n
+        assert np.all(inst.costs[tails, heads] > 0.0)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        unit_net(9, 2.0),
+        RegularNetwork(40, (1.0,) * 40, build_cost_series([(0.3, 1.4), (0.7, 2.6)])),
+        PerturbedNetwork(5, (0.25, 0.0, -0.25, 0.0, 0.5), (1.0,) * 5, single_exponent_series(2.0)),
+    ],
+    ids=["regular9", "regular40", "shifted"],
+)
+def test_formulate_costs_each_distinct_distance_once(net, monkeypatch):
+    calls = []
+
+    def counting(series, xi, xj):
+        calls.append(abs(xi - xj))
+        return transmission_cost(series, xi, xj)
+
+    monkeypatch.setattr(oracle, "transmission_cost", counting)
+    formulate(net)
+    x = net.positions().x
+    distances = {abs(x[i] - x[j]) for i in range(1, net.n + 1) for j in range(net.n + 1) if i != j}
+    assert sorted(calls) == sorted(distances)
+    if not any(net.shifts):
+        assert len(calls) == net.n
+
+
+def test_check_dual_reports_the_first_worst_arc_in_row_order():
+    # small integer points on integer costs (a = 1) tie across rows, so the
+    # order in which the first maximum is taken is what is pinned
+    rng = np.random.default_rng(1010)
+    for k in range(400):
+        n = int(rng.integers(1, 13))
+        series = single_exponent_series(1.0) if k % 2 else random_series(rng)
+        inst = formulate(RegularNetwork(n, (1.0,) * n, series))
+        pi = np.concatenate(([0.0], rng.integers(-3, 6, size=n).astype(float)))
+        mu = np.concatenate(([0.0], rng.integers(0, 3, size=n).astype(float)))
+        mu[1] += 1.0  # keeps sum mu positive
+        cert = check_dual(inst, pi, mu)
+        total = float(mu.sum())
+        p, u = [v / total for v in pi.tolist()], [v / total for v in mu.tolist()]
+        best, arc = -math.inf, None
+        for i in range(1, n + 1):
+            for j in range(n + 1):
+                if j != i:
+                    slack = p[i] - p[j] - u[i] * float(inst.costs[i, j])
+                    if slack > best:
+                        best, arc = slack, (i, j)
+        assert cert.arc == arc
+        assert cert.slack == best
+        assert all(type(k) is int for k in cert.arc)
 
 
 @pytest.mark.parametrize(
