@@ -29,7 +29,7 @@ from .cost import CostSeries, series_to_terms, single_exponent_series, transmiss
 from .oracle import DEFAULT_VERIFY_TOL, certify, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
-    numeric_d_interval,
+    numeric_d_intervals,
     solve_equal_energy,
     stability_bounds_d,
     sweep,
@@ -41,8 +41,10 @@ from .regular import (
     q_i_max,
     q_n_min,
     stability_region_Q_check,
+    volume_limits,
 )
-# unused here: bench/spans.py traces these two by their names in this module
+# unused here: bench/spans.py traces these three by their names in this module
+from .perturbed import numeric_d_interval  # noqa: F401
 from .regular import node_energy_closed_form, raw_flows  # noqa: F401
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
@@ -203,12 +205,10 @@ def _cmd_solve(args) -> int:
 def _cmd_stability_q(args) -> int:
     net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
-    rows: list[tuple[int, float | None, float | None]] = []
-    for i in nodes:
-        if i == net.n:
-            rows.append((i, q_n_min(net), None))
-        else:
-            rows.append((i, 0.0, q_i_max(net, i)))
+    limits = volume_limits(net)
+    rows = [
+        (i, limits.bound(i), None) if i == net.n else (i, 0.0, limits.bound(i)) for i in nodes
+    ]
     ok = check_q_constraints(net)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None
     if args.format == "csv":
@@ -223,11 +223,8 @@ def _cmd_stability_d(args) -> int:
     if any(q != 1.0 for q in net.volumes):
         raise ConfigError("stability-d is defined for unit volumes")
     nodes = _parse_nodes(args.nodes, net.n)
-    rows = []
-    for i in nodes:
-        envelope = stability_bounds_d(net.n, i)
-        numeric = numeric_d_interval(net, i)
-        rows.append((i, envelope, numeric))
+    intervals = numeric_d_intervals(net, nodes)
+    rows = [(i, stability_bounds_d(net.n, i), numeric) for i, numeric in zip(nodes, intervals)]
     if args.format == "csv":
         _write(args, docs.stability_d_csv(rows))
     else:

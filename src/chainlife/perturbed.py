@@ -335,9 +335,80 @@ def _move_node(
     return direct[i], left[i], left[i + 1]
 
 
-def _shift_probe(
-    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], i: int
-) -> Callable[[float, float, float | None], bool]:
+@dataclass(frozen=True, eq=False)
+class _ProbeSums:
+    """The d = 0 walk summed from both ends, shared by the shift probes of a chain.
+
+    For k < ``last``, a[k] + b[k] E is the relay q_{k+1,k} that the forward
+    walk over nodes 1..k leaves, and head[k] the open window (lo, hi) on E
+    inside which every flow component that walk fixes is positive, with a
+    flag for a component that no E makes positive.  For k > ``first``,
+    c[k] + e[k] E is the same relay from the backward walk over nodes
+    n..k+1, and tail[k] the window of the components fixed on nodes k..n;
+    entries past n are zero relays and open windows.
+    """
+
+    volumes: Sequence[float]
+    direct: Sequence[float]
+    a: list[float]
+    b: list[float]
+    head: list[tuple[float, float, bool]]
+    c: list[float]
+    e: list[float]
+    tail: list[tuple[float, float, bool]]
+
+
+_OPEN = (-math.inf, math.inf, False)
+
+
+def _narrow(
+    window: tuple[float, float, bool], *terms: tuple[float, float]
+) -> tuple[float, float, bool]:
+    """The window on E with alpha + beta E > 0 added for each (alpha, beta) term.
+
+    beta > 0 raises lo to -alpha / beta, beta < 0 lowers hi to it, and
+    beta = 0 with alpha <= 0 sets the flag: no E makes that term positive.
+    """
+    lo, hi, flat = window
+    for al, be in terms:
+        if be > 0.0:
+            lo = max(lo, -al / be)
+        elif be < 0.0:
+            hi = min(hi, -al / be)
+        elif be == 0.0 and not al > 0.0:
+            flat = True
+    return lo, hi, flat
+
+
+def _probe_sums(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
+) -> _ProbeSums:
+    """The sums that the probes of nodes first..last need, in two O(n) passes.
+
+    The forward pass stops before node ``last`` and the backward pass at
+    node first + 2, so a one-node set-up makes the two passes of that node's
+    probe and no more.  Each node adds to the window its direct flow and
+    the relay it leaves.
+    """
+    n = len(volumes)
+    a, b, head = [0.0] * last, [0.0] * last, [_OPEN] * last
+    for k in range(1, last):
+        flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])
+        shrink = 1.0 - left[k] / direct[k]
+        a[k] = a[k - 1] * shrink - float(volumes[k - 1])
+        b[k] = b[k - 1] * shrink + 1.0 / direct[k]
+        head[k] = _narrow(head[k - 1], flow, (a[k], b[k]))
+    c, e, tail = [0.0] * (n + 2), [0.0] * (n + 2), [_OPEN] * (n + 3)
+    for k in range(n, first + 1, -1):
+        shrink = 1.0 - left[k] / direct[k]
+        c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
+        e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
+        flow = (-c[k - 1] * left[k] / direct[k], (1.0 - e[k - 1] * left[k]) / direct[k])
+        tail[k] = _narrow(tail[k + 1], flow, (c[k - 1], e[k - 1]))
+    return _ProbeSums(volumes, direct, a, b, head, c, e, tail)
+
+
+def _shift_probe(sums: _ProbeSums, i: int) -> Callable[[float, float, float | None], bool]:
     """An O(1) test of whether the walk's flows stay positive once node i is recosted.
 
     A move of node i changes only D_i, L_i and L_{i+1}.  The relay
@@ -346,33 +417,20 @@ def _shift_probe(
     r_n = 0 over nodes n..i+2 with r_{k-1} = (r_k + Q_k - E / D_k) / s_k,
     s_k = 1 - L_k / D_k.  Every flow component but q_{i,0}, q_{i+1,0} and
     q_{i+1,i} is therefore affine in E with fixed coefficients, and their
-    positivity is one open window lo < E < hi, found in the same two passes.
-    The returned test takes the three new costs, solves for E and checks the
+    positivity is one open window lo < E < hi, the head window before node
+    i met with the tail window after node i + 1 (see _ProbeSums).  The
+    returned test takes the three new costs, solves for E and checks the
     window and the three remaining components; a zero division fails it.
     """
-    n = len(volumes)
-    terms: list[tuple[float, float]] = []  # (alpha, beta) of each fixed alpha + beta E
-    a = b = 0.0
-    for k in range(1, i):
-        terms.append((-a * left[k] / direct[k], (1.0 - b * left[k]) / direct[k]))
-        shrink = 1.0 - left[k] / direct[k]
-        a = a * shrink - float(volumes[k - 1])
-        b = b * shrink + 1.0 / direct[k]
-        terms.append((a, b))
-    c = e = 0.0
-    for k in range(n, i + 1, -1):
-        shrink = 1.0 - left[k] / direct[k]
-        c = (c + float(volumes[k - 1])) / shrink
-        e = (e - 1.0 / direct[k]) / shrink
-        terms.append((-c * left[k] / direct[k], (1.0 - e * left[k]) / direct[k]))
-        terms.append((c, e))
-    lo = max((-al / be for al, be in terms if be > 0.0), default=-math.inf)
-    hi = min((-al / be for al, be in terms if be < 0.0), default=math.inf)
-    if any(be == 0.0 and not al > 0.0 for al, be in terms):
-        lo = math.inf
+    volumes, n = sums.volumes, len(sums.volumes)
+    a, b, c, e = sums.a[i - 1], sums.b[i - 1], sums.c[i + 1], sums.e[i + 1]
+    head_lo, head_hi, head_flat = sums.head[i - 1]
+    tail_lo, tail_hi, tail_flat = sums.tail[i + 2]
+    lo = math.inf if head_flat or tail_flat else max(head_lo, tail_lo)
+    hi = min(head_hi, tail_hi)
     volume = float(volumes[i - 1])
     if i < n:
-        next_volume, next_direct = float(volumes[i]), direct[i + 1]
+        next_volume, next_direct = float(volumes[i]), sums.direct[i + 1]
 
     def feasible(d_i: float, l_i: float, l_next: float | None) -> bool:
         try:
@@ -414,32 +472,40 @@ def _bisect(feasible: Callable[[float], bool], end: float) -> tuple[float, float
     return good, 0.5 * (good + bad)
 
 
-def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
-    """Shift interval of node i inside which every solved flow stays positive.
+def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[StabilityInterval]:
+    """Shift interval of each node in ``nodes`` inside which every solved flow stays positive.
 
-    All other shifts must be zero; the interval is located by bisection on
-    the sign of the smallest flow component of the solved system, to
-    BISECTION_TOL in d.  When no component changes sign before the bracket
-    end the boundary is the geometric limit -1 or 1.
+    For each node all other shifts must be zero; the interval is located by
+    bisection on the sign of the smallest flow component of the solved
+    system, to BISECTION_TOL in d.  When no component changes sign before
+    the bracket end the boundary is the geometric limit -1 or 1.  Every node
+    is checked before any is solved.
 
-    The template chain is costed once, and a probe at shift d recomputes
-    only D_i, L_i and L_{i+1}, the costs node i's move touches.  The probes
-    of the bisection are O(1) (see _shift_probe); full walks with their
-    energy-spread check run at d = 0, where NegativeFlow names the most
-    negative component, and at the last feasible probe of each side.  Should
-    that walk disagree, the side is bisected again with a full walk per
-    probe, so the endpoints are always those of full-walk probes.
+    The set-up is shared by all nodes: the unshifted chain is costed once,
+    walked once at d = 0, where NegativeFlow names the most negative
+    component, and summed once from both ends (see _ProbeSums).  A probe at
+    shift d then recomputes only D_i, L_i and L_{i+1}, the costs node i's
+    move touches, in O(1) (see _shift_probe); those three costs are put
+    back before the next node.  Full walks with their energy-spread check
+    run at the last feasible probe of each side.  Should that walk
+    disagree, the side is bisected again with a full walk per probe, so the
+    endpoints are always those of full-walk probes.
     """
-    if not 1 <= i <= net.n:
-        raise IndexOutOfRange(f"node {i} outside [1, {net.n}]")
-    for k, d in enumerate(net.shifts, start=1):
-        if k != i and d != 0.0:
-            raise ValueError(f"template shift d_{k} = {d} must be zero")
-    direct, left = _costs(net)
-    x, series, volumes = net.positions().x, net.series, net.volumes
+    shifted = [k for k, d in enumerate(net.shifts, start=1) if d != 0.0]
+    for i in nodes:
+        if not 1 <= i <= net.n:
+            raise IndexOutOfRange(f"node {i} outside [1, {net.n}]")
+        for k in shifted:
+            if k != i:
+                raise ValueError(f"template shift d_{k} = {net.shifts[k - 1]} must be zero")
+    if not nodes:
+        return []
+    # every probe replaces node i's own shift, so the set-up is the unshifted chain's
+    template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series) if shifted else net
+    direct, left = _costs(template)
+    x, series, volumes = template.positions().x, net.series, net.volumes
 
-    def flows(d: float) -> dict[tuple[int, int], float]:
-        _move_node(series, x, i, d, direct, left)
+    def walk(i: int) -> dict[tuple[int, int], float]:
         try:
             q, _ = _equal_energy_flows(volumes, direct, left)
             _checked_energies(q, direct, left)
@@ -448,27 +514,43 @@ def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
         # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
         return q
 
-    q = flows(0.0)
+    q = walk(nodes[0])
     worst = min(q, key=q.__getitem__)
     if not q[worst] > 0.0:
         raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
-    probe = _shift_probe(volumes, direct, left, i)
+    sums = _probe_sums(volumes, direct, left, min(nodes), max(nodes))
 
-    def fast(d: float) -> bool:
-        return probe(*_move_node(series, x, i, d, direct, left))
+    def interval(i: int) -> StabilityInterval:
+        probe = _shift_probe(sums, i)
 
-    def full(d: float) -> bool:
-        return min(flows(d).values()) > 0.0
+        def fast(d: float) -> bool:
+            return probe(*_move_node(series, x, i, d, direct, left))
 
-    def boundary(end: float, limit: float) -> float:
-        good, edge = _bisect(fast, end)
-        if not full(good):
-            good, edge = _bisect(full, end)
-        return limit if edge is None else edge
+        def full(d: float) -> bool:
+            _move_node(series, x, i, d, direct, left)
+            return min(walk(i).values()) > 0.0
 
-    return StabilityInterval(
-        boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
-    )
+        def boundary(end: float, limit: float) -> float:
+            good, edge = _bisect(fast, end)
+            if not full(good):
+                good, edge = _bisect(full, end)
+            return limit if edge is None else edge
+
+        return StabilityInterval(
+            boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
+        )
+
+    intervals = []
+    for i in nodes:
+        at_zero = direct[i], left[i : i + 2]
+        intervals.append(interval(i))
+        direct[i], left[i : i + 2] = at_zero  # undo the probes' moves
+    return intervals
+
+
+def numeric_d_interval(net: PerturbedNetwork, i: int) -> StabilityInterval:
+    """Shift interval of node i alone; see numeric_d_intervals."""
+    return numeric_d_intervals(net, [i])[0]
 
 
 def sweep(

@@ -12,10 +12,11 @@ solve.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 from .cost import CostSeries, unit_hop_costs
-from .errors import DegenerateCoefficient, IndexOutOfRange
+from .errors import DegenerateCoefficient, IndexOutOfRange, SingularMatrix
 from .perturbed import (
     PerturbedNetwork,
     _costs,
@@ -96,31 +97,83 @@ def check_q_constraints(net: PerturbedNetwork) -> bool:
     )
 
 
-def _volume_root(net: PerturbedNetwork, i: int, component: tuple[int, int]) -> float:
-    # every flow is affine in Q_i, so two evaluations locate the Q_i at
-    # which the component vanishes exactly
+@dataclass(frozen=True)
+class VolumeLimits:
+    """Every node's volume limit with the other volumes fixed.
+
+    values[i - 1] is Q_i^max for i < N, the volume at which node i + 1 stops
+    relaying into node i, and Q_N^min for i = N, the volume at which node N
+    stops relaying; None marks a relay that does not depend on that volume.
+    """
+
+    values: tuple[float | None, ...]
+
+    def bound(self, i: int) -> float:
+        """Node i's limit; DegenerateCoefficient where the relay does not depend on Q_i."""
+        value = self.values[i - 1]
+        if value is None:
+            j = min(i + 1, len(self.values))
+            raise DegenerateCoefficient(f"q[{j},{j - 1}] does not depend on Q_{i}")
+        return value
+
+
+def _vanishes(slope: float, at_zero: float) -> bool:
+    # whether a relay's slope in one volume is negligible next to the
+    # relay's value at zero volume: no finite root
+    return abs(slope) <= 1e-14 * max(1.0, abs(at_zero))
+
+
+def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
+    """Q_i^max of every node i < N and Q_N^min, from one costing and two passes.
+
+    Every flow is affine in each volume.  The forward walk leaves the relay
+    q_{k+1,k} = a_k + b_k E and the common energy E = -a_N / b_N.  As
+    a_N = -sum_k Q_k P_k with P_k = prod_{m>k} s_m, s_m = 1 - L_m / D_m,
+    E grows by P_i / b_N per unit of Q_i.  The backward walk writes the same
+    relay as c_i + e_i E with c_i and e_i free of Q_i, so its slope in Q_i is
+    e_i P_i / b_N, and Q_i^max = Q_i - q_{i+1,i} / slope.  At Q_N^min node N
+    sends all it holds directly, so nodes 1..N-1 form a chain of their own
+    and Q_N^min = E_{N-1} / D_N with E_{N-1} = -a_{N-1} / b_{N-1}; its slope
+    is b_{N-1} / b_N.  Neither form subtracts nearly equal numbers.
+    """
+    n = net.n
+    if n == 1:
+        return VolumeLimits((0.0,))
     direct, left = _costs(net)
-
-    def flow(value: float) -> float:
-        volumes = list(net.volumes)
-        volumes[i - 1] = value
-        return _equal_energy_flows(volumes, direct, left)[0][component]
-
-    at_zero = flow(0.0)
-    slope = flow(1.0) - at_zero
-    if abs(slope) <= 1e-14 * max(1.0, abs(at_zero)):
-        raise DegenerateCoefficient(f"q[{component[0]},{component[1]}] does not depend on Q_{i}")
-    return -at_zero / slope
+    volumes = [float(q) for q in net.volumes]
+    try:
+        shrink = [0.0] + [1.0 - left[k] / direct[k] for k in range(1, n + 1)]
+        a = b = 0.0
+        for k in range(1, n):
+            a = a * shrink[k] - volumes[k - 1]
+            b = b * shrink[k] + 1.0 / direct[k]
+        floor = -a / b / direct[n]
+        b_last = b * shrink[n] + 1.0 / direct[n]
+        energy = -(a * shrink[n] - volumes[n - 1]) / b_last
+        slope = b / b_last
+        values: list[float | None] = [None] * n
+        values[n - 1] = None if _vanishes(slope, -slope * floor) else floor
+        c = e = 0.0
+        suffix = 1.0
+        for i in range(n - 1, 0, -1):
+            c = (c + volumes[i]) / shrink[i + 1]
+            e = (e - 1.0 / direct[i + 1]) / shrink[i + 1]
+            suffix *= shrink[i + 1]
+            relay, slope = c + e * energy, e * suffix / b_last
+            if not _vanishes(slope, relay - slope * volumes[i - 1]):
+                values[i - 1] = volumes[i - 1] - relay / slope
+    except ZeroDivisionError:
+        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    return VolumeLimits(tuple(values))
 
 
 def q_n_min(net: PerturbedNetwork) -> float:
     """Smallest feasible volume of the farthest node, other volumes fixed.
 
-    At this value the farthest node stops relaying: q_{N,N-1} = 0.
+    At this value the farthest node stops relaying: q_{N,N-1} = 0.  Costs
+    as much as volume_limits, which serves every node at once.
     """
-    if net.n < 2:
-        return 0.0
-    return _volume_root(net, net.n, (net.n, net.n - 1))
+    return volume_limits(net).bound(net.n)
 
 
 def q_i_max(net: PerturbedNetwork, i: int) -> float:
@@ -128,10 +181,11 @@ def q_i_max(net: PerturbedNetwork, i: int) -> float:
 
     At this value node i + 1 stops relaying into node i: q_{i+1,i} = 0.
     DegenerateCoefficient signals a vanishing slope (no finite boundary).
+    Costs as much as volume_limits, which serves every node at once.
     """
     if not 1 <= i <= net.n - 1:
         raise IndexOutOfRange(f"node {i} outside [1, {net.n - 1}]")
-    return _volume_root(net, i, (i + 1, i))
+    return volume_limits(net).bound(i)
 
 
 def stability_region_Q_check(net: PerturbedNetwork) -> bool:

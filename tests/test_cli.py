@@ -16,8 +16,11 @@ from chainlife import (
     build_cost_series,
     cli,
     node_energy_closed_form,
+    numeric_d_interval,
     oracle,
     perturbed,
+    regular,
+    stability_bounds_d,
 )
 from chainlife import documents as docs
 from chainlife.cli import main
@@ -252,6 +255,63 @@ def test_stability_d_subset_and_guards(write_config, capsys):
     assert main(["stability-d", "--input", path, "--nodes", "0"]) == 1
     nonunit = write_config("nonunit.json", quadratic_chain(3, volumes=[1.0, 2.0, 1.0]))
     assert main(["stability-d", "--input", nonunit]) == 1
+
+
+@pytest.mark.parametrize("n", [10, 500])
+def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, monkeypatch, n):
+    # every node's limit comes from one costing; the q-constraint check
+    # costs the chain once more, whatever the node count
+    calls = [0]
+    costs = regular._costs
+
+    def counted(net):
+        calls[0] += 1
+        return costs(net)
+
+    monkeypatch.setattr(regular, "_costs", counted)
+    path = write_config("net.json", quadratic_chain(n))
+    assert main(["stability-q", "--input", path, "--nodes", "all"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == n
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_stability_d_shares_one_set_up(write_config, capsys, monkeypatch, n):
+    # the chain is costed once for all nodes and walked at d = 0 once; each
+    # node then adds the full walks at its two sides' last feasible probes
+    counts = {"_costs": 0, "_equal_energy_flows": 0}
+    for name in counts:
+        original = getattr(perturbed, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(perturbed, name, counted)
+    path = write_config("net.json", quadratic_chain(n))
+    assert main(["stability-d", "--input", path, "--nodes", "all"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == n
+    assert counts["_costs"] == 1
+    assert counts["_equal_energy_flows"] <= 1 + 2 * n
+
+
+def test_stability_d_all_nodes_print_the_one_node_rows(write_config, capsys):
+    # the shared set-up must leave every node's interval as its own call
+    # finds it, bytes included
+    rng = np.random.default_rng(3030)
+    for _ in range(30):
+        n = int(rng.integers(1, 21))
+        series = random_series(rng)
+        path = write_config("net.json", {"n": n, "volumes": [1.0] * n,
+                                         "cost": {"terms": series_to_terms(series)}})
+        net = RegularNetwork(n, (1.0,) * n, series)
+        rows = [(i, stability_bounds_d(n, i), numeric_d_interval(net, i))
+                for i in range(1, n + 1)]
+        expected = {"json": docs.json_dumps(docs.stability_d_document(rows, series)),
+                    "csv": docs.stability_d_csv(rows)}
+        for fmt, text in expected.items():
+            assert main(["stability-d", "--input", path, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text, (n, fmt)
 
 
 def test_verify_default_green(capsys):

@@ -21,6 +21,7 @@ from chainlife import (
     flow_quadratics_a1,
     node_energy_sn,
     numeric_d_interval,
+    numeric_d_intervals,
     single_exponent_series,
     solve_equal_energy,
     stability_bounds_d,
@@ -394,7 +395,8 @@ def test_shift_probe_decides_as_the_full_solve():
         x = net.positions().x
         for i in range(1, n + 1):
             direct, left = perturbed._costs(net)
-            probe = perturbed._shift_probe(volumes, direct, left, i)
+            sums = perturbed._probe_sums(volumes, direct, left, i, i)
+            probe = perturbed._shift_probe(sums, i)
             for d in rng.uniform(-0.999, 0.999, size=10):
                 shifts = [0.0] * n
                 shifts[i - 1] = float(d)
@@ -447,6 +449,34 @@ def test_numeric_interval_runs_three_walks(monkeypatch, n):
         calls[0] = 0
         numeric_d_interval(net, i)
         assert calls[0] <= 3, (n, i)
+
+
+def test_numeric_intervals_equal_the_one_node_calls():
+    # nodes in any order, repeated or not, see the set-up as a one-node call
+    # does: each node's moved costs are put back before the next; a node's
+    # own template shift is replaced by every probe
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        n = int(rng.integers(1, 16))
+        net = PerturbedNetwork(n, (0.0,) * n, unit_region_volumes(rng, n), random_series(rng))
+        nodes = [int(i) for i in rng.integers(1, n + 1, size=n + 2)]
+        together = numeric_d_intervals(net, nodes)
+        assert together == [numeric_d_interval(net, i) for i in nodes], n
+        i = nodes[0]
+        shifts = [0.0] * n
+        shifts[i - 1] = float(rng.uniform(-0.5, 0.5))
+        moved = PerturbedNetwork(n, tuple(shifts), net.volumes, net.series)
+        assert numeric_d_intervals(moved, [i]) == [together[0]], n
+    assert numeric_d_intervals(net, []) == []
+
+
+def test_numeric_intervals_check_every_node_first(monkeypatch):
+    monkeypatch.setattr(perturbed, "_costs", None)  # no node may be solved
+    net = unit_perturbed(4, 2.0, (0.0, 0.2, 0.0, 0.0))
+    with pytest.raises(IndexOutOfRange):
+        numeric_d_intervals(unit_perturbed(4, 2.0), [1, 5])
+    with pytest.raises(ValueError, match="d_2"):
+        numeric_d_intervals(net, [2, 3])
 
 
 def test_numeric_interval_guards():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from chainlife import (
     DegenerateCoefficient,
     IndexOutOfRange,
     NegativeFlow,
+    PerturbedNetwork,
     RegularNetwork,
+    VolumeLimits,
+    build_cost_series,
     check_q_constraints,
     energy_bounds_regular,
     flow_closed_form,
@@ -23,7 +27,9 @@ from chainlife import (
     single_exponent_series,
     stability_region_Q_check,
     unit_hop_costs,
+    volume_limits,
 )
+from chainlife.perturbed import _costs
 from chainlife.regular import _closed_form_energy
 
 from helpers import random_positive_volumes, random_series, unit_region_volumes
@@ -268,3 +274,61 @@ def test_far_end_volume_bounds_keep_precision():
         at_zero = relay(0.0)
         expected = -at_zero / (relay(1.0) - at_zero)
         assert q_i_max(net, i) == pytest.approx(expected, rel=1e-9), i
+
+
+def _exact_relays(volumes, direct, left) -> list[Fraction]:
+    """Relays q_{k+1,k}, k = 1..n-1, of the walk in exact rational arithmetic."""
+    a = b = Fraction(0)
+    states = []
+    for k in range(1, len(volumes) + 1):
+        shrink = 1 - left[k] / direct[k]
+        a, b = a * shrink - volumes[k - 1], b * shrink + 1 / direct[k]
+        states.append((a, b))
+    energy = -a / b
+    return [a + b * energy for a, b in states[:-1]]
+
+
+def _exact_limit(net, i: int) -> Fraction:
+    # the relay that vanishes at node i's limit is affine in Q_i: two exact
+    # walks give its root
+    direct, left = ([Fraction(c) for c in costs] for costs in _costs(net))
+    k = min(i, net.n - 1)
+    at = []
+    for value in (0, 1):
+        volumes = [Fraction(q) for q in net.volumes]
+        volumes[i - 1] = Fraction(value)
+        at.append(_exact_relays(volumes, direct, left)[k - 1])
+    return -at[0] / (at[1] - at[0])
+
+
+def test_volume_limits_match_exact_rational_walks():
+    # two-term costs with dyadic weights and integer exponents at dyadic
+    # positions are exact in floats, so the exact walk solves the same chain
+    rng = np.random.default_rng(14014)
+    for case in range(40):
+        n = int(rng.integers(3, 15))
+        w = int(rng.integers(1, 8)) / 8
+        lo, hi = (int(v) for v in rng.choice([1, 2, 3, 4], size=2, replace=False))
+        series = build_cost_series([(w, float(lo)), (1.0 - w, float(hi))])
+        shifts = (0.0,) * n
+        if case % 2:
+            shifts = tuple(int(v) / 16 for v in rng.integers(-6, 7, size=n))
+        volumes = tuple(int(v) / 64 for v in rng.integers(64, 193, size=n))
+        net = PerturbedNetwork(n, shifts, volumes, series)
+        limits = volume_limits(net)
+        for i in range(1, n):
+            exact = _exact_limit(net, i)
+            assert q_i_max(net, i) == limits.bound(i)
+            assert limits.bound(i) == pytest.approx(float(exact), rel=1e-14, abs=0.0), (case, i)
+        exact = _exact_limit(net, n)
+        assert q_n_min(net) == limits.bound(n)
+        assert limits.bound(n) == pytest.approx(float(exact), rel=1e-14, abs=0.0), case
+
+
+def test_volume_limit_with_a_vanishing_slope_is_degenerate():
+    limits = VolumeLimits((None, 2.0, None))
+    assert limits.bound(2) == 2.0
+    with pytest.raises(DegenerateCoefficient, match=r"q\[2,1\] does not depend on Q_1"):
+        limits.bound(1)
+    with pytest.raises(DegenerateCoefficient, match=r"q\[3,2\] does not depend on Q_3"):
+        limits.bound(3)
