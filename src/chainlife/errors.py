@@ -34,7 +34,7 @@ class NegativeFlow(ChainlifeError):
 
 
 class DegenerateCoefficient(ChainlifeError):
-    """The affine boundary equation has a vanishing slope and no unique root."""
+    """The affine boundary equation has no finite root."""
 
 
 class IndexOutOfRange(ChainlifeError):

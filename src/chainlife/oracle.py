@@ -118,16 +118,17 @@ def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
     multipliers, both indexed by node with 0 for the collector.  The point
     is first scaled so that sum mu = 1, the dual constraint of the free
     epigraph variable t.  The bound is sum_i Q_i pi_i, and the slack of arc
-    (i, j) is pi_i - pi_j - mu_i c_ij; the certificate reports the first worst arc.
+    (i, j) is pi_i - pi_j - mu_i c_ij, judged on the cost matrix with its diagonal
+    (no arc) at -inf; the certificate reports the first worst arc, row by row.
     """
     total = mu.sum()
     pi = pi / total
     mu = mu / total
-    tails, heads = arcs(len(inst.volumes))
-    slack = pi[tails] - pi[heads] - mu[tails] * inst.costs[tails, heads]
-    worst = int(np.argmax(slack))
+    slack = pi[1:, None] - pi - mu[1:, None] * inst.costs[1:]
+    np.fill_diagonal(slack[:, 1:], -math.inf)
+    i, j = np.unravel_index(np.argmax(slack), slack.shape)
     bound = float(np.dot(inst.volumes, pi[1:]))
-    return Certificate(bound, float(slack[worst]), (int(tails[worst]), int(heads[worst])))
+    return Certificate(bound, float(slack[i, j]), (int(i) + 1, int(j)))
 
 
 def solve(inst: LpInstance) -> LpSolution:

@@ -341,8 +341,8 @@ class _ProbeSums:
 
     For k < ``last``, a[k] + b[k] E is the relay q_{k+1,k} that the forward
     walk over nodes 1..k leaves, and head[k] the open window (lo, hi) on E
-    inside which every flow component that walk fixes is positive, with a
-    flag for a component that no E makes positive.  For k > ``first``,
+    inside which every flow component that walk fixes is positive (empty,
+    with lo = +inf, if no E makes one positive).  For k > ``first``,
     c[k] + e[k] E is the same relay from the backward walk over nodes
     n..k+1, and tail[k] the window of the components fixed on nodes k..n;
     entries past n are zero relays and open windows.
@@ -352,32 +352,31 @@ class _ProbeSums:
     direct: Sequence[float]
     a: list[float]
     b: list[float]
-    head: list[tuple[float, float, bool]]
+    head: list[tuple[float, float]]
     c: list[float]
     e: list[float]
-    tail: list[tuple[float, float, bool]]
+    tail: list[tuple[float, float]]
 
 
-_OPEN = (-math.inf, math.inf, False)
+_OPEN = (-math.inf, math.inf)
 
 
-def _narrow(
-    window: tuple[float, float, bool], *terms: tuple[float, float]
-) -> tuple[float, float, bool]:
+def _narrow(window: tuple[float, float], *terms: tuple[float, float]) -> tuple[float, float]:
     """The window on E with alpha + beta E > 0 added for each (alpha, beta) term.
 
     beta > 0 raises lo to -alpha / beta, beta < 0 lowers hi to it, and
-    beta = 0 with alpha <= 0 sets the flag: no E makes that term positive.
+    beta = 0 with alpha <= 0 sets lo to +inf: no E makes that term positive.
+    max keeps lo over a NaN root, so lo is never NaN and stays +inf once set.
     """
-    lo, hi, flat = window
+    lo, hi = window
     for al, be in terms:
         if be > 0.0:
             lo = max(lo, -al / be)
         elif be < 0.0:
             hi = min(hi, -al / be)
         elif be == 0.0 and not al > 0.0:
-            flat = True
-    return lo, hi, flat
+            lo = math.inf
+    return lo, hi
 
 
 def _probe_sums(
@@ -424,10 +423,8 @@ def _shift_probe(sums: _ProbeSums, i: int) -> Callable[[float, float, float | No
     """
     volumes, n = sums.volumes, len(sums.volumes)
     a, b, c, e = sums.a[i - 1], sums.b[i - 1], sums.c[i + 1], sums.e[i + 1]
-    head_lo, head_hi, head_flat = sums.head[i - 1]
-    tail_lo, tail_hi, tail_flat = sums.tail[i + 2]
-    lo = math.inf if head_flat or tail_flat else max(head_lo, tail_lo)
-    hi = min(head_hi, tail_hi)
+    (head_lo, head_hi), (tail_lo, tail_hi) = sums.head[i - 1], sums.tail[i + 2]
+    lo, hi = max(head_lo, tail_lo), min(head_hi, tail_hi)
     volume = float(volumes[i - 1])
     if i < n:
         next_volume, next_direct = float(volumes[i]), sums.direct[i + 1]

@@ -103,13 +103,13 @@ class VolumeLimits:
 
     values[i - 1] is Q_i^max for i < N, the volume at which node i + 1 stops
     relaying into node i, and Q_N^min for i = N, the volume at which node N
-    stops relaying; None marks a relay that does not depend on that volume.
+    stops relaying.  Every finite limit is kept; None marks one that is not.
     """
 
     values: tuple[float | None, ...]
 
     def bound(self, i: int) -> float:
-        """Node i's limit; DegenerateCoefficient where the relay does not depend on Q_i."""
+        """Node i's limit; DegenerateCoefficient where it is not finite."""
         value = self.values[i - 1]
         if value is None:
             j = min(i + 1, len(self.values))
@@ -117,10 +117,8 @@ class VolumeLimits:
         return value
 
 
-def _vanishes(slope: float, at_zero: float) -> bool:
-    # whether a relay's slope in one volume is negligible next to the
-    # relay's value at zero volume: no finite root
-    return abs(slope) <= 1e-14 * max(1.0, abs(at_zero))
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
@@ -133,8 +131,9 @@ def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
     relay as c_i + e_i E with c_i and e_i free of Q_i, so its slope in Q_i is
     e_i P_i / b_N, and Q_i^max = Q_i - q_{i+1,i} / slope.  At Q_N^min node N
     sends all it holds directly, so nodes 1..N-1 form a chain of their own
-    and Q_N^min = E_{N-1} / D_N with E_{N-1} = -a_{N-1} / b_{N-1}; its slope
-    is b_{N-1} / b_N.  Neither form subtracts nearly equal numbers.
+    and Q_N^min = E_{N-1} / D_N with E_{N-1} = -a_{N-1} / b_{N-1}.  Neither
+    form subtracts nearly equal numbers.  A limit is kept exactly when it is
+    finite: a zero slope, or one so small that the root overflows, leaves None.
     """
     n = net.n
     if n == 1:
@@ -147,12 +146,10 @@ def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
         for k in range(1, n):
             a = a * shrink[k] - volumes[k - 1]
             b = b * shrink[k] + 1.0 / direct[k]
-        floor = -a / b / direct[n]
+        values: list[float | None] = [None] * n
+        values[n - 1] = _finite(-a / b / direct[n])
         b_last = b * shrink[n] + 1.0 / direct[n]
         energy = -(a * shrink[n] - volumes[n - 1]) / b_last
-        slope = b / b_last
-        values: list[float | None] = [None] * n
-        values[n - 1] = None if _vanishes(slope, -slope * floor) else floor
         c = e = 0.0
         suffix = 1.0
         for i in range(n - 1, 0, -1):
@@ -160,8 +157,8 @@ def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
             e = (e - 1.0 / direct[i + 1]) / shrink[i + 1]
             suffix *= shrink[i + 1]
             relay, slope = c + e * energy, e * suffix / b_last
-            if not _vanishes(slope, relay - slope * volumes[i - 1]):
-                values[i - 1] = volumes[i - 1] - relay / slope
+            if slope != 0.0:
+                values[i - 1] = _finite(volumes[i - 1] - relay / slope)
     except ZeroDivisionError:
         raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
     return VolumeLimits(tuple(values))
@@ -180,7 +177,7 @@ def q_i_max(net: PerturbedNetwork, i: int) -> float:
     """Largest feasible volume of node i < N, other volumes fixed.
 
     At this value node i + 1 stops relaying into node i: q_{i+1,i} = 0.
-    DegenerateCoefficient signals a vanishing slope (no finite boundary).
+    DegenerateCoefficient signals that the root is not finite.
     Costs as much as volume_limits, which serves every node at once.
     """
     if not 1 <= i <= net.n - 1:

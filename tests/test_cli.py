@@ -235,6 +235,40 @@ def test_stability_q_document(write_config, capsys):
     assert doc["unit_region"] is True
 
 
+def steep_chain(volumes) -> dict:
+    # cost s^20: every relay's slope in a volume is tiny next to its value
+    return {
+        "n": len(volumes),
+        "volumes": list(volumes),
+        "cost": {"terms": [{"lambda": 1.0, "exponent": 20.0}]},
+    }
+
+
+def test_stability_q_reports_every_limit_of_a_steep_chain(write_config, capsys):
+    path = write_config("net.json", steep_chain([1.0] * 10))
+    assert main(["stability-q", "--input", path, "--nodes", "all"]) == 0
+    rows = json.loads(capsys.readouterr().out)["nodes"]
+    assert [row["node"] for row in rows] == list(range(1, 11))
+    assert all(row["q_max"] > 1.0 for row in rows[:-1])
+    assert 0.0 < rows[-1]["q_min"] < 1.0
+    assert main(["stability-q", "--input", path, "--nodes", "all", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "node,q_min,q_max"
+    assert len(lines) == 11
+    assert lines[4] == "4,0,5.56960163704e+14"
+    assert lines[10].endswith(",inf")
+
+
+def test_out_of_region_volume_of_a_steep_chain_names_its_maximum(write_config, capsys):
+    path = write_config("net.json", steep_chain([1.0, 1.0, 1.0, 1e15] + [1.0] * 6))
+    assert main(["solve-regular", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow q[5,4] = ")
+    assert err.rstrip("\n").endswith(
+        "; volume Q_4 = 1e+15 exceeds the maximum 5.56960164e+14 for this chain (Q_4^max)"
+    )
+
+
 def test_stability_d_csv_header(write_config, capsys):
     path = write_config("net.json", linear_chain(3))
     assert main(["stability-d", "--input", path, "--format", "csv"]) == 0

@@ -413,6 +413,20 @@ def test_shift_probe_decides_as_the_full_solve():
     assert window > 0 and relay > 0
 
 
+def test_a_term_no_energy_makes_positive_empties_the_window():
+    assert perturbed._narrow((-1.0, 2.0), (0.0, 0.0), (1.0, 1.0)) == (math.inf, 2.0)
+    assert perturbed._narrow((math.inf, 2.0), (-3.0, 1.0)) == (math.inf, 2.0)
+    assert perturbed._narrow(perturbed._OPEN, (math.nan, 1.0)) == perturbed._OPEN
+    # Q_1 L_2 / D_2 underflows, so the direct flow q_{2,0} is the constant 0
+    net = PerturbedNetwork(4, (0.0,) * 4, (5e-324, 1.0, 1.0, 1.0), single_exponent_series(2.0))
+    direct, left = perturbed._costs(net)
+    sums = perturbed._probe_sums(net.volumes, direct, left, 1, 4)
+    assert sums.head[2][0] == math.inf
+    assert solve_equal_energy(net, check_flows=False).flow.min_entry() == 0.0
+    assert not perturbed._shift_probe(sums, 3)(direct[3], left[3], left[4])
+    assert not perturbed._shift_probe(sums, 4)(direct[4], left[4], None)
+
+
 def _counted_walks(monkeypatch) -> list[int]:
     calls = [0]
     walk = perturbed._equal_energy_flows

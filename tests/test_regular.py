@@ -305,6 +305,7 @@ def test_volume_limits_match_exact_rational_walks():
     # two-term costs with dyadic weights and integer exponents at dyadic
     # positions are exact in floats, so the exact walk solves the same chain
     rng = np.random.default_rng(14014)
+    nets = []
     for case in range(40):
         n = int(rng.integers(3, 15))
         w = int(rng.integers(1, 8)) / 8
@@ -314,7 +315,14 @@ def test_volume_limits_match_exact_rational_walks():
         if case % 2:
             shifts = tuple(int(v) / 16 for v in rng.integers(-6, 7, size=n))
         volumes = tuple(int(v) / 64 for v in rng.integers(64, 193, size=n))
-        net = PerturbedNetwork(n, shifts, volumes, series)
+        nets.append(PerturbedNetwork(n, shifts, volumes, series))
+    # steep costs and huge volumes: a relay's slope in a volume is tiny next
+    # to its value, yet its root is finite
+    for n, a, volume in [(10, 20.0, 1.0), (6, 50.0, 1.0), (10, 100.0, 1.0), (40, 100.0, 1.0),
+                         (3, 2.0, 1e16), (30, 3.0, 1e20)]:
+        nets.append(RegularNetwork(n, (volume,) * n, single_exponent_series(a)))
+    for case, net in enumerate(nets):
+        n = net.n
         limits = volume_limits(net)
         for i in range(1, n):
             exact = _exact_limit(net, i)
