@@ -15,9 +15,7 @@ import functools
 import math
 import re
 import sys
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import documents as docs
 from .errors import (
@@ -46,6 +44,9 @@ from .regular import (
 # unused here: bench/spans.py traces these three by their names in this module
 from .perturbed import numeric_d_interval  # noqa: F401
 from .regular import node_energy_closed_form, raw_flows  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PARAM_RE = re.compile(r"^([Qd])(\d+)$")
 _MAX_GRID_STEPS = 10**6
@@ -335,6 +336,8 @@ def _cmd_verify(args) -> int:
     draws = _suite_count(suite["random_q"], "suite random_q")
     if draws and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative for random draws, got {args.seed}")
+    import numpy as np
+
     # creating a generator imports numpy.random; a suite without draws skips it
     rng = np.random.default_rng(args.seed) if draws else None
     rows = []

@@ -2,12 +2,17 @@
 
 JSON output formats reals with 17 significant digits (exact float round
 trip); CSV output uses 12.  Both writers are deterministic: same inputs,
-same bytes.
+same bytes.  Apart from the reals, a JSON document reads as the standard
+library's ``json.dumps(doc, indent=2)`` plus a newline, and tuples are
+lists.  The serializer builds each container's text from its children's,
+and picks a scalar's text by its exact type; subclasses such as
+``numpy.float64`` take the isinstance checks instead.
 """
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 from .cost import CostSeries, build_cost_series, series_to_terms
@@ -16,6 +21,7 @@ from .perturbed import EqualEnergySolution, PerturbedNetwork, StabilityInterval
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
+_JSON_REAL = f".{JSON_DIGITS}g"
 
 
 def _real(value: Any, where: str) -> float:
@@ -103,48 +109,56 @@ def format_real(value: float, digits: int = JSON_DIGITS) -> str:
     return format(value, f".{digits}g")
 
 
+def _json_real(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("documents only carry finite reals")
+    return format(value, _JSON_REAL)
+
+
+# texts of the scalar types, looked up by exact type; subclasses such as
+# numpy.float64 fall through to the isinstance chain of _text
+_SCALAR_TEXT = {
+    float: _json_real,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    str: _quote,
+    type(None): lambda value: "null",
+}
+
+
+def _text(value: Any, pad: str) -> str:
+    """JSON text of a value whose opening line is indented by pad."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            scalar = _SCALAR_TEXT.get(type(item))
+            body = scalar(item) if scalar is not None else _text(item, inner)
+            items.append(f"{inner}{_quote(str(key))}: {body}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_text(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_real(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
 def json_dumps(doc: Any) -> str:
     """Deterministic JSON text with fixed-precision reals and a trailing newline."""
-    pieces: list[str] = []
-
-    def emit(value: Any, indent: int) -> None:
-        pad = "  " * indent
-        if isinstance(value, dict):
-            if not value:
-                pieces.append("{}")
-                return
-            pieces.append("{\n")
-            for k, (key, item) in enumerate(value.items()):
-                pieces.append(f"{pad}  {json.dumps(str(key))}: ")
-                emit(item, indent + 1)
-                pieces.append(",\n" if k < len(value) - 1 else "\n")
-            pieces.append(pad + "}")
-        elif isinstance(value, (list, tuple)):
-            seq = list(value)
-            if not seq:
-                pieces.append("[]")
-                return
-            pieces.append("[\n")
-            for k, item in enumerate(seq):
-                pieces.append(pad + "  ")
-                emit(item, indent + 1)
-                pieces.append(",\n" if k < len(seq) - 1 else "\n")
-            pieces.append(pad + "]")
-        elif isinstance(value, bool):
-            pieces.append("true" if value else "false")
-        elif isinstance(value, int):
-            pieces.append(str(value))
-        elif isinstance(value, float):
-            pieces.append(format_real(value))
-        elif isinstance(value, str):
-            pieces.append(json.dumps(value))
-        elif value is None:
-            pieces.append("null")
-        else:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-
-    emit(doc, 0)
-    return "".join(pieces) + "\n"
+    return _text(doc, "") + "\n"
 
 
 def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:

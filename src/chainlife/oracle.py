@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cost import transmission_cost
 from .errors import NumericalStall
 from .validate import FlowMatrix, check_conservation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_VERIFY_TOL = 1e-7
 
@@ -41,6 +43,8 @@ class LpInstance:
 
 def arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tails and heads of every arc (i, j), i in 1..n, j in 0..n, j != i, row by row."""
+    import numpy as np
+
     tails, heads = np.nonzero(~np.eye(n + 1, dtype=bool)[1:])
     return tails + 1, heads
 
@@ -68,6 +72,8 @@ class Certificate:
 
 def formulate(net) -> LpInstance:
     """Build the LP of a chain, costing each distinct distance once (n on a regular chain)."""
+    import numpy as np
+
     x = np.array(net.positions().x)
     distinct, index = np.unique(np.abs(x[1:, None] - x), return_inverse=True)
     # distinct[0] is the diagonal's zero; Python floats keep transmission_cost's own powers
@@ -97,6 +103,8 @@ def certify(inst: LpInstance) -> Certificate:
     arc (a cost series that is not superadditive), no nonnegative multiplier
     exists: the certificate reports infinite slack on that hop and bound 0.
     """
+    import numpy as np
+
     n, costs = len(inst.volumes), inst.costs
     direct = costs[1:, 0]
     hop = np.arange(2, n + 1)
@@ -121,6 +129,8 @@ def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
     (i, j) is pi_i - pi_j - mu_i c_ij, judged on the cost matrix with its diagonal
     (no arc) at -inf; the certificate reports the first worst arc, row by row.
     """
+    import numpy as np
+
     total = mu.sum()
     pi = pi / total
     mu = mu / total
@@ -143,6 +153,7 @@ def solve(inst: LpInstance) -> LpSolution:
     included, raises NumericalStall.  scipy is imported here, so a run that
     never meets this LP does not load it.
     """
+    import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
 

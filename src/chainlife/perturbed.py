@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cost import CostSeries, Positions, transmission_cost
 from .errors import IndexOutOfRange, NegativeFlow, SingularMatrix
 from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BISECTION_TOL = 1e-10
 BRACKET_MARGIN = 1e-6
@@ -179,6 +180,8 @@ def _equal_energy_solution(
 
 def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
     """Conservation rows plus energy-equality rows for the 2N-1 unknown flows."""
+    import numpy as np
+
     n = net.n
     direct, left = _costs(net)
     size = 2 * n - 1
@@ -209,6 +212,8 @@ def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
 
 def system_determinant(net: PerturbedNetwork) -> float:
     """Determinant of the routing system matrix."""
+    import numpy as np
+
     return float(np.linalg.det(assemble_system(net).m))
 
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cost import CostSeries, Positions, transmission_cost
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FLOW_ZERO_TOL = 1e-9
 EQUAL_ENERGY_TOL = 1e-9
@@ -67,6 +68,8 @@ def check_conservation(flow: FlowMatrix, volumes: Sequence[float]) -> np.ndarray
     A flow is conservative when the largest residual magnitude is at most
     1e-9 * max(1, max volume).
     """
+    import numpy as np
+
     n = flow.n
     if len(volumes) != n:
         raise ValueError("volume vector length must match the node count")
@@ -79,6 +82,8 @@ def check_conservation(flow: FlowMatrix, volumes: Sequence[float]) -> np.ndarray
 
 
 def conservation_ok(flow: FlowMatrix, volumes: Sequence[float], tol: float = FLOW_ZERO_TOL) -> bool:
+    import numpy as np
+
     res = check_conservation(flow, volumes)
     scale = max(1.0, max(float(q) for q in volumes))
     return bool(np.max(np.abs(res)) <= tol * scale)
@@ -86,6 +91,8 @@ def conservation_ok(flow: FlowMatrix, volumes: Sequence[float], tol: float = FLO
 
 def node_energies(flow: FlowMatrix, positions: Positions, series: CostSeries) -> np.ndarray:
     """Energy each node spends transmitting its outgoing flow."""
+    import numpy as np
+
     if positions.n != flow.n:
         raise ValueError("positions and flow disagree on the node count")
     x = positions.x
@@ -151,6 +158,8 @@ def validation_report(
     initial_energies: Sequence[float] | None = None,
 ) -> dict:
     """Bundle of the checks in document form (uniform unit batteries by default)."""
+    import numpy as np
+
     if initial_energies is None:
         initial_energies = [1.0] * flow.n
     res = check_conservation(flow, volumes)

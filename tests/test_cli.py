@@ -500,6 +500,46 @@ def test_verify_and_solve_leave_scipy_unloaded(write_config):
     assert proc.stdout.split() == ["0", "0", "False"]
 
 
+def test_only_verify_loads_numpy(write_config):
+    # numpy is most of the start-up time of a short CLI call
+    regular = write_config("net.json", quadratic_chain(4))
+    shifted = write_config("shifted.json", quadratic_chain(4, shifts=[0.0, 0.05, 0.0, 0.0]))
+    calls = [
+        ["solve-regular", "--input", regular],
+        ["solve-perturbed", "--input", shifted],
+        ["stability-q", "--input", regular],
+        ["stability-d", "--input", regular, "--nodes", "all"],
+        ["sweep", "--input", shifted, "--param", "d2", "--grid", "0:0.2:0.1"],
+        ["sweep", "--input", regular, "--param", "Q2", "--grid", "0.5:1:0.5"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from chainlife.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(args) for args in {calls!r}]\n"
+        "    free = 'numpy' not in sys.modules\n"
+        "    codes.append(main(['verify']))\n"
+        "print(*codes, free, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
+        "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    *codes, free, numpy_loaded, random_loaded, scipy_loaded = proc.stdout.split()
+    assert codes == ["0"] * (len(calls) + 1), proc.stderr
+    assert free == "True"
+    assert numpy_loaded == "True"
+    assert scipy_loaded == "False"
+    # numpy 1.x imports numpy.random with numpy itself
+    assert random_loaded == "False" or _numpy_imports_random_eagerly()
+
+
+def _numpy_imports_random_eagerly() -> bool:
+    code = "import sys, numpy\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return proc.stdout.strip() == "True"
+
+
 def test_verify_is_byte_stable(write_config, tmp_path):
     suite = write_config(
         "suite.json",

@@ -4,7 +4,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlife import ConfigError, flow_closed_form
 from chainlife.documents import (
@@ -120,6 +123,35 @@ def test_json_round_trip_and_determinism():
 def test_json_rejects_unserializable():
     with pytest.raises(TypeError):
         json_dumps({"x": {1, 2}})
+
+
+# floats whose shortest repr is also their 17-digit text, so that the stdlib
+# encoder and json_dumps agree on them
+json_reals = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: repr(x) == format(x, ".17g")
+)
+json_texts = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f", "é漢😀", "</script>"]
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_reals | json_texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_texts, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(json_texts, json_values, max_size=5))
+def test_json_dumps_matches_the_stdlib_encoder(doc):
+    assert json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_dumps_cases_the_stdlib_encoder_does_not_see():
+    assert json_dumps({"pair": (1, 0.5)}) == '{\n  "pair": [\n    1,\n    0.5\n  ]\n}\n'
+    assert json_dumps([np.float64(0.1)]) == "[\n  0.10000000000000001\n]\n"
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            json_dumps({"x": [bad]})
 
 
 def test_csv_formatting():
