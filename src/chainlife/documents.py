@@ -91,7 +91,7 @@ def read_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long an int
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -8,8 +8,9 @@ of those rows is assembled only as a test reference.  The stability
 question is how far a single node may move before that flow stops being
 feasible, and hence stops solving the minimax energy problem.  A move of
 one node changes only the three costs it touches, so a stability probe is
-O(1) once two O(n) passes have summed up the rest of the chain, and a
-sweep costs the chain once and reruns only the walk per grid point.
+O(1) once the relay sums of _relay_sums, which the solve and the volume
+limits read too, have summed up the rest of the chain; a sweep costs the
+chain once and reruns only the walk per grid point.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cost import CostSeries, Positions, transmission_cost
 from .errors import IndexOutOfRange, NegativeFlow, SingularMatrix
-from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix
+from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix, is_equal_energy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,28 +106,48 @@ def _costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
     return direct, left
 
 
+def _relay_sums(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The relay q_{k+1,k} as a[k] + b[k] E walking outward and c[k] + e[k] E walking back.
+
+    With s_k = 1 - L_k / D_k, the forward walk over nodes 1..k gives
+    a_k = a_{k-1} s_k - Q_k and b_k = b_{k-1} s_k + 1 / D_k from a_0 = b_0 = 0,
+    for k < ``last``.  The backward walk from the far end's zero relay gives
+    c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k for
+    k > ``first``; c and e are zero past n.  A zero division, from a zero
+    hop cost or from s_k = 0 on the way back, raises SingularMatrix.
+    """
+    n = len(volumes)
+    a, b, c, e = [0.0] * last, [0.0] * last, [0.0] * (n + 2), [0.0] * (n + 2)
+    try:
+        for k in range(1, last):
+            shrink = 1.0 - left[k] / direct[k]
+            a[k] = a[k - 1] * shrink - float(volumes[k - 1])
+            b[k] = b[k - 1] * shrink + 1.0 / direct[k]
+        for k in range(n, first + 1, -1):
+            shrink = 1.0 - left[k] / direct[k]
+            c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
+            e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
+    except ZeroDivisionError:
+        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    return a, b, c, e
+
+
 def _equal_energy_flows(
     volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
 ) -> tuple[dict[tuple[int, int], float], float]:
     """Signed equal-energy flows on the chain support and their common energy E.
 
     direct[i] and left[i] are node i's costs to reach the collector and node
-    i - 1 (index 0 unused).  Walking outward from node 1, the relay
-    q_{i+1,i} = a + b E picks up E / D_i - Q_i and is scaled by the
-    contracting factor 1 - L_i / D_i; the far end q_{n+1,n} = 0 fixes E, and
-    a second walk evaluates the direct flows at that E.  Entries may be
-    negative outside the feasible region.
+    i - 1 (index 0 unused).  The forward relay sums (see _relay_sums) reach
+    the far end, where q_{n+1,n} = a_n + b_n E = 0 fixes E, and a second
+    walk evaluates the direct flows at that E.  Entries may be negative
+    outside the feasible region.
     """
     n = len(volumes)
-    a = b = 0.0
-    try:
-        for i in range(1, n + 1):
-            shrink = 1.0 - left[i] / direct[i]
-            a = a * shrink - float(volumes[i - 1])
-            b = b * shrink + 1.0 / direct[i]
-        energy = -a / b
-    except ZeroDivisionError:
-        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    a, b, _, _ = _relay_sums(volumes, direct, left, n, n + 1)
+    energy = -a[n] / b[n]  # b_n >= 1 / D_n > 0, or NaN, for a nonnegative cost
     q: dict[tuple[int, int], float] = {}
     relay = 0.0
     for i in range(1, n + 1):
@@ -150,9 +171,8 @@ def _checked_energies(
         q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
         for i in range(1, len(direct))
     ]
-    peak = max(energies)
-    spread = peak - min(energies)
-    if not spread <= EQUAL_ENERGY_TOL * max(1.0, abs(peak)):
+    if not is_equal_energy(energies, EQUAL_ENERGY_TOL):
+        spread = max(energies) - min(energies)
         raise SingularMatrix(f"energy spread {spread:.3e} after solve")
     return energies
 
@@ -342,15 +362,13 @@ def _move_node(
 
 @dataclass(frozen=True, eq=False)
 class _ProbeSums:
-    """The d = 0 walk summed from both ends, shared by the shift probes of a chain.
+    """The d = 0 relay sums of a chain (see _relay_sums) with their windows on E.
 
-    For k < ``last``, a[k] + b[k] E is the relay q_{k+1,k} that the forward
-    walk over nodes 1..k leaves, and head[k] the open window (lo, hi) on E
-    inside which every flow component that walk fixes is positive (empty,
-    with lo = +inf, if no E makes one positive).  For k > ``first``,
-    c[k] + e[k] E is the same relay from the backward walk over nodes
-    n..k+1, and tail[k] the window of the components fixed on nodes k..n;
-    entries past n are zero relays and open windows.
+    head[k], for k < ``last``, is the open window (lo, hi) on E inside which
+    every flow component that the forward walk over nodes 1..k fixes is
+    positive (empty, with lo = +inf, if no E makes one positive); tail[k],
+    for k > ``first``, is the window of the components fixed on nodes k..n
+    by the backward walk.  Entries past n are open windows.
     """
 
     volumes: Sequence[float]
@@ -387,26 +405,19 @@ def _narrow(window: tuple[float, float], *terms: tuple[float, float]) -> tuple[f
 def _probe_sums(
     volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
 ) -> _ProbeSums:
-    """The sums that the probes of nodes first..last need, in two O(n) passes.
+    """The relay sums that the probes of nodes first..last need, with their windows.
 
-    The forward pass stops before node ``last`` and the backward pass at
-    node first + 2, so a one-node set-up makes the two passes of that node's
-    probe and no more.  Each node adds to the window its direct flow and
-    the relay it leaves.
+    _relay_sums stops at the same bounds, so a one-node set-up sums that
+    node's two passes and no more.  Each node adds to the window its direct
+    flow and the relay it leaves.
     """
     n = len(volumes)
-    a, b, head = [0.0] * last, [0.0] * last, [_OPEN] * last
+    a, b, c, e = _relay_sums(volumes, direct, left, first, last)
+    head, tail = [_OPEN] * last, [_OPEN] * (n + 3)
     for k in range(1, last):
         flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])
-        shrink = 1.0 - left[k] / direct[k]
-        a[k] = a[k - 1] * shrink - float(volumes[k - 1])
-        b[k] = b[k - 1] * shrink + 1.0 / direct[k]
         head[k] = _narrow(head[k - 1], flow, (a[k], b[k]))
-    c, e, tail = [0.0] * (n + 2), [0.0] * (n + 2), [_OPEN] * (n + 3)
     for k in range(n, first + 1, -1):
-        shrink = 1.0 - left[k] / direct[k]
-        c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
-        e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
         flow = (-c[k - 1] * left[k] / direct[k], (1.0 - e[k - 1] * left[k]) / direct[k])
         tail[k] = _narrow(tail[k + 1], flow, (c[k - 1], e[k - 1]))
     return _ProbeSums(volumes, direct, a, b, head, c, e, tail)
@@ -416,10 +427,9 @@ def _shift_probe(sums: _ProbeSums, i: int) -> Callable[[float, float, float | No
     """An O(1) test of whether the walk's flows stay positive once node i is recosted.
 
     A move of node i changes only D_i, L_i and L_{i+1}.  The relay
-    r_{i-1} = q_{i,i-1} = a + b E comes from the forward walk over nodes
-    1..i-1, and r_{i+1} = q_{i+2,i+1} = c + e E from walking back from
-    r_n = 0 over nodes n..i+2 with r_{k-1} = (r_k + Q_k - E / D_k) / s_k,
-    s_k = 1 - L_k / D_k.  Every flow component but q_{i,0}, q_{i+1,0} and
+    q_{i,i-1} = a + b E comes from the forward walk over nodes 1..i-1, and
+    q_{i+2,i+1} = c + e E from the backward walk over nodes n..i+2 (see
+    _relay_sums).  Every flow component but q_{i,0}, q_{i+1,0} and
     q_{i+1,i} is therefore affine in E with fixed coefficients, and their
     positivity is one open window lo < E < hi, the head window before node
     i met with the tail window after node i + 1 (see _ProbeSums).  The

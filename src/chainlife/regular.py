@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cost import CostSeries, unit_hop_costs
-from .errors import DegenerateCoefficient, IndexOutOfRange, SingularMatrix
+from .errors import DegenerateCoefficient, IndexOutOfRange
 from .perturbed import (
     PerturbedNetwork,
     _costs,
     _equal_energy_flows,
+    _relay_sums,
     energy_bounds_perturbed,
     solve_equal_energy,
 )
@@ -122,45 +123,34 @@ def _finite(value: float) -> float | None:
 
 
 def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
-    """Q_i^max of every node i < N and Q_N^min, from one costing and two passes.
+    """Q_i^max of every node i < N and Q_N^min, from one costing and the relay sums.
 
-    Every flow is affine in each volume.  The forward walk leaves the relay
-    q_{k+1,k} = a_k + b_k E and the common energy E = -a_N / b_N.  As
-    a_N = -sum_k Q_k P_k with P_k = prod_{m>k} s_m, s_m = 1 - L_m / D_m,
-    E grows by P_i / b_N per unit of Q_i.  The backward walk writes the same
-    relay as c_i + e_i E with c_i and e_i free of Q_i, so its slope in Q_i is
+    Every flow is affine in each volume.  From perturbed._relay_sums,
+    E = -a_N / b_N; as a_N = -sum_k Q_k P_k with P_k = prod_{m>k} s_m, E
+    grows by P_i / b_N per unit of Q_i.  The backward sums c_i + e_i E of
+    the relay q_{i+1,i} are free of Q_i, so its slope in Q_i is
     e_i P_i / b_N, and Q_i^max = Q_i - q_{i+1,i} / slope.  At Q_N^min node N
     sends all it holds directly, so nodes 1..N-1 form a chain of their own
     and Q_N^min = E_{N-1} / D_N with E_{N-1} = -a_{N-1} / b_{N-1}.  Neither
-    form subtracts nearly equal numbers.  A limit is kept exactly when it is
-    finite: a zero slope, or one so small that the root overflows, leaves None.
+    form subtracts nearly equal numbers while Q_i <= Q_i^max; far above it
+    the first cancels.  A limit is kept exactly when it is finite: a zero
+    slope, or one so small that the root overflows, leaves None.
     """
     n = net.n
     if n == 1:
         return VolumeLimits((0.0,))
     direct, left = _costs(net)
     volumes = [float(q) for q in net.volumes]
-    try:
-        shrink = [0.0] + [1.0 - left[k] / direct[k] for k in range(1, n + 1)]
-        a = b = 0.0
-        for k in range(1, n):
-            a = a * shrink[k] - volumes[k - 1]
-            b = b * shrink[k] + 1.0 / direct[k]
-        values: list[float | None] = [None] * n
-        values[n - 1] = _finite(-a / b / direct[n])
-        b_last = b * shrink[n] + 1.0 / direct[n]
-        energy = -(a * shrink[n] - volumes[n - 1]) / b_last
-        c = e = 0.0
-        suffix = 1.0
-        for i in range(n - 1, 0, -1):
-            c = (c + volumes[i]) / shrink[i + 1]
-            e = (e - 1.0 / direct[i + 1]) / shrink[i + 1]
-            suffix *= shrink[i + 1]
-            relay, slope = c + e * energy, e * suffix / b_last
-            if slope != 0.0:
-                values[i - 1] = _finite(volumes[i - 1] - relay / slope)
-    except ZeroDivisionError:
-        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
+    a, b, c, e = _relay_sums(volumes, direct, left, 0, n + 1)
+    values: list[float | None] = [None] * n
+    values[n - 1] = _finite(-a[n - 1] / b[n - 1] / direct[n])
+    energy = -a[n] / b[n]
+    suffix = 1.0
+    for i in range(n - 1, 0, -1):
+        suffix *= 1.0 - left[i + 1] / direct[i + 1]
+        relay, slope = c[i] + e[i] * energy, e[i] * suffix / b[n]
+        if slope != 0.0:
+            values[i - 1] = _finite(volumes[i - 1] - relay / slope)
     return VolumeLimits(tuple(values))
 
 

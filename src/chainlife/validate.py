@@ -103,10 +103,9 @@ def node_energies(flow: FlowMatrix, positions: Positions, series: CostSeries) ->
 
 
 def is_equal_energy(energies: Sequence[float], tol: float = EQUAL_ENERGY_TOL) -> bool:
-    """True when all node energies agree within tol relative to max(1, peak)."""
-    e = [float(v) for v in energies]
-    peak = max(e)
-    return (peak - min(e)) <= tol * max(1.0, peak)
+    """True when all node energies agree within tol relative to max(1, |peak|), as in the solve."""
+    peak = max(energies)
+    return bool(peak - min(energies) <= tol * max(1.0, abs(peak)))
 
 
 def check_no_loop(flow: FlowMatrix, tol: float = FLOW_ZERO_TOL) -> bool:

@@ -90,11 +90,33 @@ def test_unknown_flag_is_config_error():
     assert main(["solve-regular", "--frobnicate"]) == 1
 
 
+# files json.load rejects: bad syntax, then three that raise no JSONDecodeError
+_MALFORMED_JSON = {
+    "syntax.json": b"{]",
+    "utf16.json": b"\xff\xfe{\x00}\x00",  # not UTF-8: UnicodeDecodeError
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+    "long-int.json": b'{"n": ' + b"1" * 4301 + b"}",  # past int's 4300-digit limit
+}
+
+
+def _write_malformed(tmp_path):
+    for name, text in _MALFORMED_JSON.items():
+        path = tmp_path / name
+        path.write_bytes(text)
+        yield path
+
+
+def _assert_one_error_line(capsys, reason):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and reason in lines[0]
+
+
 def test_malformed_config_file(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{]")
-    assert main(["solve-regular", "--input", str(path)]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    for path in _write_malformed(tmp_path):
+        assert main(["solve-regular", "--input", str(path)]) == 1
+        _assert_one_error_line(capsys, "not valid JSON")
 
 
 def test_out_of_region_volume_names_the_boundary(write_config, capsys):
@@ -425,12 +447,11 @@ def test_verify_rejects_bad_suite_values(write_config, capsys, key, value):
 def test_verify_unreadable_or_malformed_suite_is_config_error(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"n_values": [3],')
-    for path, reason in ((tmp_path / "missing.json", "cannot read"), (broken, "not valid JSON")):
+    cases = [(tmp_path / "missing.json", "cannot read"), (broken, "not valid JSON")]
+    cases += [(path, "not valid JSON") for path in _write_malformed(tmp_path)]
+    for path, reason in cases:
         assert main(["verify", "--input", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and reason in lines[0]
+        _assert_one_error_line(capsys, reason)
 
 
 def test_verify_without_draws_leaves_numpy_random_unloaded():

@@ -26,6 +26,7 @@ from chainlife import (
     solve_equal_energy,
     stability_bounds_d,
     system_determinant,
+    volume_limits,
 )
 from chainlife import perturbed
 from chainlife.perturbed import BISECTION_TOL, BRACKET_MARGIN
@@ -147,6 +148,11 @@ def test_zero_hop_cost_is_singular():
     net = PerturbedNetwork(2, (1.0 - 2.0**-53, 0.0), (1.0, 1.0), single_exponent_series(1000.0))
     with pytest.raises(SingularMatrix):
         solve_equal_energy(net)
+    # the volume limits and the probe set-up read the same relay sums
+    with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
+        volume_limits(net)
+    with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
+        perturbed._probe_sums(net.volumes, *perturbed._costs(net), 1, 2)
 
 
 def test_zero_shift_solution_matches_regular_closed_form():

@@ -62,6 +62,8 @@ def test_node_energies_and_equality():
     assert energies == pytest.approx([1.75, 1.75], abs=1e-12)
     assert is_equal_energy(energies)
     assert not is_equal_energy([1.0, 1.1])
+    # the spread is judged relative to |peak|, as after a solve
+    assert is_equal_energy([-2.0, -2.0 - 1.5e-9])
 
 
 def test_no_loop_detection():
