@@ -157,44 +157,41 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _out_of_region_message(net: PerturbedNetwork, exc: NegativeFlow, volumes: bool) -> str:
-    """Name the violated flow and, with ``volumes``, the volume boundary crossed."""
+def _out_of_region_message(net: PerturbedNetwork, exc: NegativeFlow) -> str:
+    """Name the violated flow, the volume bound crossed where it is finite, and
+    on a shifted chain the shift intervals."""
     j, target = exc.component
     lines = [str(exc)]
-    if not volumes:
+    if target == j - 1 and j >= 2:
+        try:
+            if j == net.n:
+                lines.append(
+                    f"volume Q_{j} = {net.volumes[j - 1]:.6g} is below the minimum "
+                    f"{q_n_min(net):.9g} for this chain (Q_{j}^min)"
+                )
+            else:
+                lines.append(
+                    f"volume Q_{j - 1} = {net.volumes[j - 2]:.6g} exceeds the maximum "
+                    f"{q_i_max(net, j - 1):.9g} for this chain (Q_{j - 1}^max)"
+                )
+        except ChainlifeError:
+            pass
+    if any(net.shifts):
         lines.append(
             "the configured shifts leave the stability region; see stability-d "
             "for admissible single-node intervals"
         )
-    elif target == j - 1 and j >= 2:
-        if j == net.n:
-            bound = q_n_min(net)
-            lines.append(
-                f"volume Q_{j} = {net.volumes[j - 1]:.6g} is below the minimum "
-                f"{bound:.9g} for this chain (Q_{j}^min)"
-            )
-        else:
-            try:
-                bound = q_i_max(net, j - 1)
-                lines.append(
-                    f"volume Q_{j - 1} = {net.volumes[j - 2]:.6g} exceeds the maximum "
-                    f"{bound:.9g} for this chain (Q_{j - 1}^max)"
-                )
-            except ChainlifeError:
-                pass
     return "; ".join(lines)
 
 
 def _cmd_solve(args) -> int:
-    # solve-regular takes unshifted chains and names the volume bound crossed
-    regular = args.command == "solve-regular"
     net = docs.load_network(_require_input(args))
-    if regular:
+    if args.command == "solve-regular":
         _require_unshifted(net)
     try:
         sol = solve_equal_energy(net)
     except NegativeFlow as exc:
-        print(f"error: {_out_of_region_message(net, exc, regular)}", file=sys.stderr)
+        print(f"error: {_out_of_region_message(net, exc)}", file=sys.stderr)
         return 2
     if args.format == "csv":
         _write(args, docs.solution_csv(sol))
@@ -206,9 +203,10 @@ def _cmd_solve(args) -> int:
 def _cmd_stability_q(args) -> int:
     net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
-    limits = volume_limits(net)
+    # a limit that is not finite goes to the documents as NaN (see stability_q_csv)
+    limits = [math.nan if limit is None else limit for limit in volume_limits(net)]
     rows = [
-        (i, limits.bound(i), None) if i == net.n else (i, 0.0, limits.bound(i)) for i in nodes
+        (i, limits[i - 1], None) if i == net.n else (i, 0.0, limits[i - 1]) for i in nodes
     ]
     ok = check_q_constraints(net)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None

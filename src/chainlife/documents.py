@@ -217,14 +217,25 @@ def stability_d_csv(
     return csv_text("node,env_lo,env_hi,num_lo,num_hi", flat)
 
 
+def _or_null(value: float | None) -> float | None:
+    return None if value is None or math.isnan(value) else value
+
+
+def _csv_limit(value: float | None, unbounded: str) -> float | str:
+    if value is None:
+        return unbounded
+    return "" if math.isnan(value) else value
+
+
 def stability_q_document(
     rows: Sequence[tuple[int, float | None, float | None]],
     constraints_ok: bool,
     unit_region: bool | None,
 ) -> dict:
+    """Rows of (node, q_min, q_max) as in stability_q_csv; None and NaN are both null."""
     return {
         "nodes": [
-            {"node": node, "q_min": lo, "q_max": hi} for node, lo, hi in rows
+            {"node": node, "q_min": _or_null(lo), "q_max": _or_null(hi)} for node, lo, hi in rows
         ],
         "q_constraints_ok": constraints_ok,
         "unit_region": unit_region,
@@ -232,10 +243,9 @@ def stability_q_document(
 
 
 def stability_q_csv(rows: Sequence[tuple[int, float | None, float | None]]) -> str:
-    flat = [
-        (node, "-inf" if lo is None else lo, "inf" if hi is None else hi)
-        for node, lo, hi in rows
-    ]
+    """Rows of (node, q_min, q_max): None is a bound that does not apply, written
+    -inf or inf, and NaN a limit that is not finite, written as an empty field."""
+    flat = [(node, _csv_limit(lo, "-inf"), _csv_limit(hi, "inf")) for node, lo, hi in rows]
     return csv_text("node,q_min,q_max", flat)
 
 

@@ -108,30 +108,32 @@ def _costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
 
 def _relay_sums(
     volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
-) -> tuple[list[float], list[float], list[float], list[float]]:
+) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
     """The relay q_{k+1,k} as a[k] + b[k] E walking outward and c[k] + e[k] E walking back.
 
     With s_k = 1 - L_k / D_k, the forward walk over nodes 1..k gives
     a_k = a_{k-1} s_k - Q_k and b_k = b_{k-1} s_k + 1 / D_k from a_0 = b_0 = 0,
     for k < ``last``.  The backward walk from the far end's zero relay gives
     c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k for
-    k > ``first``; c and e are zero past n.  A zero division, from a zero
-    hop cost or from s_k = 0 on the way back, raises SingularMatrix.
+    k > ``first``; c and e are zero past n.  The backward walk's s_k come
+    last, zero for k <= ``first`` + 1.  A zero division, from a zero hop
+    cost or from s_k = 0 on the way back, raises SingularMatrix.
     """
     n = len(volumes)
     a, b, c, e = [0.0] * last, [0.0] * last, [0.0] * (n + 2), [0.0] * (n + 2)
+    s = [0.0] * (n + 1)
     try:
         for k in range(1, last):
             shrink = 1.0 - left[k] / direct[k]
             a[k] = a[k - 1] * shrink - float(volumes[k - 1])
             b[k] = b[k - 1] * shrink + 1.0 / direct[k]
         for k in range(n, first + 1, -1):
-            shrink = 1.0 - left[k] / direct[k]
+            s[k] = shrink = 1.0 - left[k] / direct[k]
             c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
             e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
     except ZeroDivisionError:
         raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
-    return a, b, c, e
+    return a, b, c, e, s
 
 
 def _equal_energy_flows(
@@ -146,7 +148,7 @@ def _equal_energy_flows(
     outside the feasible region.
     """
     n = len(volumes)
-    a, b, _, _ = _relay_sums(volumes, direct, left, n, n + 1)
+    a, b, *_ = _relay_sums(volumes, direct, left, n, n + 1)
     energy = -a[n] / b[n]  # b_n >= 1 / D_n > 0, or NaN, for a nonnegative cost
     q: dict[tuple[int, int], float] = {}
     relay = 0.0
@@ -412,7 +414,7 @@ def _probe_sums(
     flow and the relay it leaves.
     """
     n = len(volumes)
-    a, b, c, e = _relay_sums(volumes, direct, left, first, last)
+    a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
     head, tail = [_OPEN] * last, [_OPEN] * (n + 3)
     for k in range(1, last):
         flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])

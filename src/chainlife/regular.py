@@ -12,7 +12,6 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cost import CostSeries, unit_hop_costs
@@ -22,7 +21,6 @@ from .perturbed import (
     _costs,
     _equal_energy_flows,
     _relay_sums,
-    energy_bounds_perturbed,
     solve_equal_energy,
 )
 
@@ -34,9 +32,8 @@ def RegularNetwork(n: int, volumes: tuple[float, ...], series: CostSeries) -> Pe
     return PerturbedNetwork(n, (0.0,) * n, volumes, series)
 
 
-# the regular chain has no solve or bounds of its own
+# the regular chain has no solve of its own
 flow_closed_form = solve_equal_energy
-energy_bounds_regular = energy_bounds_perturbed
 
 
 def _closed_form_energy(volumes: Sequence[float], hops: Sequence[float], e1: float = 1.0) -> float:
@@ -98,81 +95,71 @@ def check_q_constraints(net: PerturbedNetwork) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VolumeLimits:
-    """Every node's volume limit with the other volumes fixed.
-
-    values[i - 1] is Q_i^max for i < N, the volume at which node i + 1 stops
-    relaying into node i, and Q_N^min for i = N, the volume at which node N
-    stops relaying.  Every finite limit is kept; None marks one that is not.
-    """
-
-    values: tuple[float | None, ...]
-
-    def bound(self, i: int) -> float:
-        """Node i's limit; DegenerateCoefficient where it is not finite."""
-        value = self.values[i - 1]
-        if value is None:
-            j = min(i + 1, len(self.values))
-            raise DegenerateCoefficient(f"q[{j},{j - 1}] does not depend on Q_{i}")
-        return value
-
-
 def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def volume_limits(net: PerturbedNetwork) -> VolumeLimits:
+def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
     """Q_i^max of every node i < N and Q_N^min, from one costing and the relay sums.
 
-    Every flow is affine in each volume.  From perturbed._relay_sums,
-    E = -a_N / b_N; as a_N = -sum_k Q_k P_k with P_k = prod_{m>k} s_m, E
-    grows by P_i / b_N per unit of Q_i.  The backward sums c_i + e_i E of
-    the relay q_{i+1,i} are free of Q_i, so its slope in Q_i is
-    e_i P_i / b_N, and Q_i^max = Q_i - q_{i+1,i} / slope.  At Q_N^min node N
-    sends all it holds directly, so nodes 1..N-1 form a chain of their own
-    and Q_N^min = E_{N-1} / D_N with E_{N-1} = -a_{N-1} / b_{N-1}.  Neither
-    form subtracts nearly equal numbers while Q_i <= Q_i^max; far above it
-    the first cancels.  A limit is kept exactly when it is finite: a zero
-    slope, or one so small that the root overflows, leaves None.
+    Entry i - 1 is node i's limit with the other volumes fixed, None where
+    it is not finite (a zero slope or an overflow).  Every flow is affine
+    in each volume.  From perturbed._relay_sums, E = -a_N / b_N with
+    -a_N = sum_k Q_k P_k and P_k = prod_{m>k} s_m, and the backward sums
+    c_i + e_i E of the relay q_{i+1,i} are free of Q_i.  So that relay
+    vanishes at Q_i^max = -(c_i b_N + e_i (H_i + T_i)) / (e_i P_i), where
+    H_i = -a_{i-1} P_{i-1} sums Q_j P_j over j < i and T_i over j > i.  At
+    Q_N^min node N sends all it holds directly, so nodes 1..N-1 form a
+    chain of their own and Q_N^min = E_{N-1} / D_N with
+    E_{N-1} = -a_{N-1} / b_{N-1}.  Neither form contains the volume it
+    solves for, so neither cancels however far that volume is from it.
     """
     n = net.n
     if n == 1:
-        return VolumeLimits((0.0,))
+        return (0.0,)
     direct, left = _costs(net)
     volumes = [float(q) for q in net.volumes]
-    a, b, c, e = _relay_sums(volumes, direct, left, 0, n + 1)
+    a, b, c, e, s = _relay_sums(volumes, direct, left, 0, n + 1)
     values: list[float | None] = [None] * n
     values[n - 1] = _finite(-a[n - 1] / b[n - 1] / direct[n])
-    energy = -a[n] / b[n]
-    suffix = 1.0
+    suffix, tail = 1.0, 0.0  # P_i and T_i, from i = N down
     for i in range(n - 1, 0, -1):
-        suffix *= 1.0 - left[i + 1] / direct[i + 1]
-        relay, slope = c[i] + e[i] * energy, e[i] * suffix / b[n]
+        tail += volumes[i] * suffix
+        suffix *= s[i + 1]
+        slope = e[i] * suffix
         if slope != 0.0:
-            values[i - 1] = _finite(volumes[i - 1] - relay / slope)
-    return VolumeLimits(tuple(values))
+            intercept = c[i] * b[n] + e[i] * (tail - a[i - 1] * suffix * s[i])
+            values[i - 1] = _finite(-intercept / slope)
+    return tuple(values)
+
+
+def _limit(net: PerturbedNetwork, i: int, name: str) -> float:
+    value = volume_limits(net)[i - 1]
+    if value is None:
+        raise DegenerateCoefficient(f"the volume limit {name} of this chain is not finite")
+    return value
 
 
 def q_n_min(net: PerturbedNetwork) -> float:
     """Smallest feasible volume of the farthest node, other volumes fixed.
 
-    At this value the farthest node stops relaying: q_{N,N-1} = 0.  Costs
-    as much as volume_limits, which serves every node at once.
+    At this value the farthest node stops relaying: q_{N,N-1} = 0.
+    DegenerateCoefficient signals that the limit is not finite.  Costs as
+    much as volume_limits, which serves every node at once.
     """
-    return volume_limits(net).bound(net.n)
+    return _limit(net, net.n, f"Q_{net.n}^min")
 
 
 def q_i_max(net: PerturbedNetwork, i: int) -> float:
     """Largest feasible volume of node i < N, other volumes fixed.
 
     At this value node i + 1 stops relaying into node i: q_{i+1,i} = 0.
-    DegenerateCoefficient signals that the root is not finite.
-    Costs as much as volume_limits, which serves every node at once.
+    DegenerateCoefficient signals that the limit is not finite.  Costs as
+    much as volume_limits, which serves every node at once.
     """
     if not 1 <= i <= net.n - 1:
         raise IndexOutOfRange(f"node {i} outside [1, {net.n - 1}]")
-    return volume_limits(net).bound(i)
+    return _limit(net, i, f"Q_{i}^max")
 
 
 def stability_region_Q_check(net: PerturbedNetwork) -> bool:

@@ -21,7 +21,6 @@ from chainlife import (
     build_cost_series,
     closed_form_a1,
     energy_bounds_perturbed,
-    energy_bounds_regular,
     flow_closed_form,
     harmonic_flow_a2,
     lifetime,
@@ -327,7 +326,7 @@ def test_criterion_11_energy_bounds_containment():
             energy = flow_closed_form(net).common_energy
         except NegativeFlow:
             continue
-        lower, upper = energy_bounds_regular(net)
+        lower, upper = energy_bounds_perturbed(net)
         checked += 1
         if not (lower - 1e-9 <= energy < upper):
             violations += 1

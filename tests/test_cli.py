@@ -201,6 +201,20 @@ def test_solve_perturbed_out_of_region(write_config, capsys):
     assert "stability" in capsys.readouterr().err
 
 
+def test_both_solve_commands_name_the_same_volume_bound(write_config, capsys):
+    # the message depends on the chain, not on the subcommand
+    path = write_config("net.json", quadratic_chain(3, volumes=[6.0, 1.0, 1.0]))
+    errors = []
+    for command in ("solve-regular", "solve-perturbed"):
+        assert main([command, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "Q_1 = 6 exceeds the maximum 5.66666667" in errors[0]
+    assert "shifts" not in errors[0]
+
+
 def test_failed_walk_is_one_error_line(write_config, capsys, monkeypatch):
     # the walk's own SingularMatrix, without a dense condition estimate
     def dense(net):
@@ -279,6 +293,21 @@ def test_stability_q_reports_every_limit_of_a_steep_chain(write_config, capsys):
     assert len(lines) == 11
     assert lines[4] == "4,0,5.56960163704e+14"
     assert lines[10].endswith(",inf")
+
+
+def test_stability_q_reports_a_limit_that_is_not_finite_per_node(write_config, capsys):
+    # Q_1^max of (1, 1e308, 1) lies past the float range; nodes 2 and 3 keep theirs
+    path = write_config("net.json", quadratic_chain(3, volumes=[1.0, 1e308, 1.0]))
+    assert main(["stability-q", "--input", path]) == 0
+    rows = json.loads(capsys.readouterr().out)["nodes"]
+    assert [row["node"] for row in rows] == [1, 2, 3]
+    assert rows[0] == {"node": 1, "q_min": 0.0, "q_max": None}
+    assert rows[1]["q_max"] == pytest.approx(8.25, rel=1e-14)
+    assert rows[2]["q_min"] > 1e306 and rows[2]["q_max"] is None
+    assert main(["stability-q", "--input", path, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["node,q_min,q_max", "1,0,", "2,0,8.25"]
+    assert len(lines) == 4 and lines[3].endswith(",inf")
 
 
 def test_out_of_region_volume_of_a_steep_chain_names_its_maximum(write_config, capsys):

@@ -13,10 +13,9 @@ from chainlife import (
     NegativeFlow,
     PerturbedNetwork,
     RegularNetwork,
-    VolumeLimits,
     build_cost_series,
     check_q_constraints,
-    energy_bounds_regular,
+    energy_bounds_perturbed,
     flow_closed_form,
     harmonic_flow_a2,
     node_energy_closed_form,
@@ -192,17 +191,17 @@ def test_uniform_region_is_always_feasible():
 
 def test_energy_bounds_bracket_the_common_energy():
     net = unit_net(2, 2.0)
-    lower, upper = energy_bounds_regular(net)
+    lower, upper = energy_bounds_perturbed(net)
     assert (lower, upper) == pytest.approx((1.5, 2.0), abs=1e-14)
     rng = np.random.default_rng(818181)
     for _ in range(100):
         n = int(rng.integers(2, 9))
         net = RegularNetwork(n, unit_region_volumes(rng, n), random_series(rng))
-        lower, upper = energy_bounds_regular(net)
+        lower, upper = energy_bounds_perturbed(net)
         energy = node_energy_closed_form(net)
         assert lower - 1e-10 <= energy < upper
     # linear cost attains the lower end exactly
-    lower, _ = energy_bounds_regular(unit_net(5, 1.0))
+    lower, _ = energy_bounds_perturbed(unit_net(5, 1.0))
     assert node_energy_closed_form(unit_net(5, 1.0)) == pytest.approx(lower, rel=1e-13)
 
 
@@ -321,22 +320,34 @@ def test_volume_limits_match_exact_rational_walks():
     for n, a, volume in [(10, 20.0, 1.0), (6, 50.0, 1.0), (10, 100.0, 1.0), (40, 100.0, 1.0),
                          (3, 2.0, 1e16), (30, 3.0, 1e20)]:
         nets.append(RegularNetwork(n, (volume,) * n, single_exponent_series(a)))
+    # Q_2 far above its limit 33/4: the root must not cancel against Q_2
+    for volume in (1e16, 1e18, 1e300):
+        nets.append(RegularNetwork(3, (1.0, volume, 1.0), single_exponent_series(2.0)))
+        assert q_i_max(nets[-1], 2) == pytest.approx(33 / 4, rel=1e-14, abs=0.0), volume
     for case, net in enumerate(nets):
         n = net.n
         limits = volume_limits(net)
+        assert len(limits) == n
         for i in range(1, n):
             exact = _exact_limit(net, i)
-            assert q_i_max(net, i) == limits.bound(i)
-            assert limits.bound(i) == pytest.approx(float(exact), rel=1e-14, abs=0.0), (case, i)
+            assert q_i_max(net, i) == limits[i - 1]
+            assert limits[i - 1] == pytest.approx(float(exact), rel=1e-14, abs=0.0), (case, i)
         exact = _exact_limit(net, n)
-        assert q_n_min(net) == limits.bound(n)
-        assert limits.bound(n) == pytest.approx(float(exact), rel=1e-14, abs=0.0), case
+        assert q_n_min(net) == limits[n - 1]
+        assert limits[n - 1] == pytest.approx(float(exact), rel=1e-14, abs=0.0), case
 
 
 def test_volume_limit_with_a_vanishing_slope_is_degenerate():
-    limits = VolumeLimits((None, 2.0, None))
-    assert limits.bound(2) == 2.0
-    with pytest.raises(DegenerateCoefficient, match=r"q\[2,1\] does not depend on Q_1"):
-        limits.bound(1)
-    with pytest.raises(DegenerateCoefficient, match=r"q\[3,2\] does not depend on Q_3"):
-        limits.bound(3)
+    # Q_1^max of (1, 1e308, 1) lies past the float range; the others are finite
+    net = RegularNetwork(3, (1.0, 1e308, 1.0), single_exponent_series(2.0))
+    limits = volume_limits(net)
+    assert limits[0] is None
+    assert q_i_max(net, 2) == pytest.approx(33 / 4, rel=1e-14) == limits[1]
+    assert q_n_min(net) == limits[2] > 0.0
+    with pytest.raises(DegenerateCoefficient, match=r"Q_1\^max of this chain is not finite"):
+        q_i_max(net, 1)
+    # two volumes at the float limit overflow node 3's minimum
+    net = RegularNetwork(3, (1.7e308, 1.7e308, 1.0), single_exponent_series(20.0))
+    assert volume_limits(net)[2] is None
+    with pytest.raises(DegenerateCoefficient, match=r"Q_3\^min of this chain is not finite"):
+        q_n_min(net)
