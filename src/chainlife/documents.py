@@ -7,6 +7,18 @@ library's ``json.dumps(doc, indent=2)`` plus a newline, and tuples are
 lists.  The serializer builds each container's text from its children's,
 and picks a scalar's text by its exact type; subclasses such as
 ``numpy.float64`` take the isinstance checks instead.
+
+A run of same-shaped values is written with one ``%`` format over a
+repeated row template instead of one value at a time: a JSON list of
+exact floats or of exact ints, a JSON list of dicts that share one
+non-empty key order and keep one exact float or int type per key (the
+flows of a solution), and CSV rows whose cells keep one exact float or
+int type per column.  ``"%.17g" % x`` and ``format(x, ".17g")`` run the
+same float formatter, as do ``"%d" % k`` and ``str(k)`` for an exact int,
+so the bytes are those of the value-by-value path.  Every other list or
+row set (bools, None, strings, subclasses, nested containers, empty
+dicts, mixed types) and every run shorter than ``_RUN_MIN`` takes that
+path.
 """
 from __future__ import annotations
 
@@ -34,6 +46,13 @@ def _real(value: Any, where: str) -> float:
     if not math.isfinite(real):
         raise ConfigError(f"{where} must be a finite number, got {real}")
     return real
+
+
+def _reals(values: list, name: str) -> tuple[float, ...]:
+    """The reals of a config list; one of exact finite floats is checked in one pass."""
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        return tuple(values)
+    return tuple(_real(value, f"{name}[{k}]") for k, value in enumerate(values))
 
 
 def parse_cost(doc: Any) -> CostSeries:
@@ -69,7 +88,7 @@ def parse_network(doc: Any) -> PerturbedNetwork:
     volumes = doc.get("volumes")
     if not isinstance(volumes, list) or len(volumes) != n:
         raise ConfigError(f"volumes must be a list of {n} numbers")
-    q = tuple(_real(v, f"volumes[{k}]") for k, v in enumerate(volumes))
+    q = _reals(volumes, "volumes")
     series = parse_cost(doc.get("cost"))
     shifts = doc.get("shifts")
     if shifts is None:
@@ -77,7 +96,7 @@ def parse_network(doc: Any) -> PerturbedNetwork:
     elif not isinstance(shifts, list) or len(shifts) != n:
         raise ConfigError(f"shifts must be a list of {n} numbers")
     else:
-        d = tuple(_real(s, f"shifts[{k}]") for k, s in enumerate(shifts))
+        d = _reals(shifts, "shifts")
     try:
         return PerturbedNetwork(n, d, q, series)
     except ValueError as exc:
@@ -126,6 +145,72 @@ _SCALAR_TEXT = {
 }
 
 
+# formats of the exact types that a run written in one format call may
+# hold; a run of fewer than _RUN_MIN values or rows is written value by
+# value, which is faster there
+_JSON_FORMAT = {float: "%.17g", int: "%d"}
+_CSV_FORMAT = {float: "%.12g", int: "%d"}
+_RUN_MIN = 8
+
+
+def _column_formats(cells: Sequence[Any], width: int, formats: dict) -> list[str] | None:
+    """Formats of the columns of row-major cells, width to a row.
+
+    None unless every column holds one exact type that formats names; a
+    non-finite real raises ValueError, as on the value-by-value path.
+    """
+    found = []
+    for column in range(width):
+        kinds = set(map(type, cells[column::width]))
+        if len(kinds) != 1 or (kind := kinds.pop()) not in formats:
+            return None
+        found.append(formats[kind])
+    real = formats[float]
+    if real not in found:
+        return found
+    reals = cells if found == [real] * width else [
+        cell for column, form in enumerate(found) if form == real for cell in cells[column::width]
+    ]
+    if not all(map(math.isfinite, reals)):
+        raise ValueError("documents only carry finite reals")
+    return found
+
+
+def _run_text(items: Sequence[Any], inner: str) -> str | None:
+    """JSON texts of a list's items joined by ",\n" + inner, in one format call.
+
+    None unless the items are exact floats, exact ints, or dicts of one
+    non-empty order of str keys that keep one exact float or int type per
+    key.  The first and last items are looked at before the whole run.
+    """
+    first, last = items[0], items[-1]
+    if type(first) is not dict:
+        if type(first) not in _JSON_FORMAT or type(last) is not type(first):
+            return None
+        formats = _column_formats(items, 1, _JSON_FORMAT)
+        if formats is None:
+            return None
+        return (",\n" + inner).join(formats * len(items)) % tuple(items)
+    keys = tuple(first)
+    if (
+        type(last) is not dict
+        or not _JSON_FORMAT.keys() >= {*map(type, first.values()), *map(type, last.values())}
+        or set(map(type, keys)) != {str}  # also rejects {}
+        or set(map(type, items)) != {dict}
+        or set(map(tuple, items)) != {keys}
+    ):
+        return None
+    cells = [cell for item in items for cell in item.values()]
+    formats = _column_formats(cells, len(keys), _JSON_FORMAT)
+    if formats is None:
+        return None
+    field = inner + "  "
+    row = "{\n" + ",\n".join(
+        f"{field}{_quote(key).replace('%', '%%')}: {form}" for key, form in zip(keys, formats)
+    ) + "\n" + inner + "}"
+    return (",\n" + inner).join([row] * len(items)) % tuple(cells)
+
+
 def _text(value: Any, pad: str) -> str:
     """JSON text of a value whose opening line is indented by pad."""
     scalar = _SCALAR_TEXT.get(type(value))
@@ -145,7 +230,9 @@ def _text(value: Any, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        body = (",\n" + inner).join([_text(item, inner) for item in value])
+        body = _run_text(value, inner) if len(value) >= _RUN_MIN else None
+        if body is None:
+            body = (",\n" + inner).join([_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(value, int):
         return str(value)
@@ -163,6 +250,9 @@ def json_dumps(doc: Any) -> str:
 
 def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:
     """Comma-separated text; reals carry 12 significant digits."""
+    body = _csv_run_text(rows) if len(rows) >= _RUN_MIN else None
+    if body is not None:
+        return header + "\n" + body + "\n"
     lines = [header]
     for row in rows:
         cells = []
@@ -175,6 +265,24 @@ def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:
                 cells.append(str(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _csv_run_text(rows: Sequence[Sequence[Any]]) -> str | None:
+    """CSV lines of the rows in one format call; None unless every row has the
+    first row's length and each column holds one exact float or int type."""
+    first, last = rows[0], rows[-1]
+    width = len(first)
+    if (
+        not width
+        or not _CSV_FORMAT.keys() >= {*map(type, first), *map(type, last)}
+        or set(map(len, rows)) != {width}
+    ):
+        return None
+    cells = [cell for row in rows for cell in row]
+    formats = _column_formats(cells, width, _CSV_FORMAT)
+    if formats is None:
+        return None
+    return "\n".join([",".join(formats)] * len(rows)) % tuple(cells)
 
 
 def solution_document(sol: EqualEnergySolution) -> dict:

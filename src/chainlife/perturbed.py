@@ -194,9 +194,10 @@ def _equal_energy_solution(
     """
     energies = _checked_energies(q, direct, left)
     if check_flows:
-        worst = min(q, key=lambda key: q[key])
-        if q[worst] < -FLOW_ZERO_TOL:
-            raise NegativeFlow(worst, q[worst])
+        lowest = min(q.values())
+        if lowest < -FLOW_ZERO_TOL:
+            worst = next(key for key, value in q.items() if value == lowest)
+            raise NegativeFlow(worst, lowest)
     return EqualEnergySolution(FlowMatrix(len(direct) - 1, q), tuple(energies), common)
 
 

@@ -589,3 +589,18 @@ def test_energy_bounds_perturbed_example_and_containment():
         found += 1
         lower, upper = energy_bounds_perturbed(net)
         assert lower - 1e-10 <= sol.common_energy < upper
+
+
+def test_negative_flow_names_the_first_of_tied_minima():
+    # q_{2,0} and q_{3,0} are both -1; the component named is the first in
+    # the walk's order, whichever node it belongs to
+    direct, left = [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]
+    flows = {(1, 0): 1.0, (2, 0): -1.0, (3, 0): -1.0, (2, 1): 2.0, (3, 2): 2.0}
+    for order in ([(1, 0), (2, 0), (3, 0), (2, 1), (3, 2)], [(3, 0), (2, 0), (1, 0), (3, 2), (2, 1)]):
+        q = {key: flows[key] for key in order}
+        with pytest.raises(NegativeFlow) as info:
+            perturbed._equal_energy_solution(q, 1.0, direct, left)
+        assert info.value.component == next(key for key in order if flows[key] == -1.0)
+        assert info.value.value == -1.0
+        sol = perturbed._equal_energy_solution(q, 1.0, direct, left, check_flows=False)
+        assert sol.flow.min_entry() == -1.0
