@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ChainlifeError, ExponentBelowOne, NegativeCoefficient, NotNormalized
 
@@ -117,6 +117,47 @@ def transmission_cost(series: CostSeries, xi: float, xj: float) -> float:
         raise ChainlifeError(
             f"transmission cost over distance {s:.6g} exceeds the float range"
         ) from None
+
+
+def cost_function(series: CostSeries) -> Callable[[float, float], float]:
+    """transmission_cost(series, xi, xj) as a function of (xi, xj), bit for bit.
+
+    Built once for the many costs of one chain.  With one or two terms the
+    cost is lam1 * s**a1 (+ lam2 * s**a2): one float is its own fsum, and
+    the fsum of two floats is their correctly rounded sum, which is what +
+    returns.  Series of three or more terms, and every result that is not
+    a positive finite float (a zero distance, an overflow, a hand-built
+    series with a negative coefficient), go through transmission_cost.
+    """
+    terms, inf = series.terms, math.inf
+    if len(terms) == 1:
+        ((l1, a1),) = terms
+
+        def cost(xi: float, xj: float) -> float:
+            s = abs(xi - xj)
+            try:
+                c = l1 * s**a1
+            except OverflowError:
+                c = inf
+            return c if 0.0 < c < inf else transmission_cost(series, xi, xj)
+
+    elif len(terms) == 2:
+        (l1, a1), (l2, a2) = terms
+
+        def cost(xi: float, xj: float) -> float:
+            s = abs(xi - xj)
+            try:
+                c = l1 * s**a1 + l2 * s**a2
+            except OverflowError:
+                c = inf
+            return c if 0.0 < c < inf else transmission_cost(series, xi, xj)
+
+    else:
+
+        def cost(xi: float, xj: float) -> float:
+            return transmission_cost(series, xi, xj)
+
+    return cost
 
 
 def unit_hop_costs(series: CostSeries, n: int) -> list[float]:

@@ -15,10 +15,12 @@ non-empty key order and keep one exact float or int type per key (the
 flows of a solution), and CSV rows whose cells keep one exact float or
 int type per column.  ``"%.17g" % x`` and ``format(x, ".17g")`` run the
 same float formatter, as do ``"%d" % k`` and ``str(k)`` for an exact int,
-so the bytes are those of the value-by-value path.  Every other list or
-row set (bools, None, strings, subclasses, nested containers, empty
-dicts, mixed types) and every run shorter than ``_RUN_MIN`` takes that
-path.
+so the bytes are those of the value-by-value path.  Where only the last
+item or row breaks the shape, as the last node's row of a stability-q
+document does, the others are written as a run and it value by value.
+Every other list or row set (bools, None, strings, subclasses, nested
+containers, empty dicts, mixed types) and every run shorter than
+``_RUN_MIN`` takes that path.
 """
 from __future__ import annotations
 
@@ -177,6 +179,20 @@ def _column_formats(cells: Sequence[Any], width: int, formats: dict) -> list[str
 
 
 def _run_text(items: Sequence[Any], inner: str) -> str | None:
+    """JSON texts of a list's items joined by ",\n" + inner, the run in one format call.
+
+    The run is the whole list, or all items but the last when only the last
+    breaks its shape; None if neither is a run (see _same_shape_text).
+    """
+    body = _same_shape_text(items, inner)
+    if body is None and len(items) > _RUN_MIN:
+        body = _same_shape_text(items[:-1], inner)
+        if body is not None:
+            body += ",\n" + inner + _text(items[-1], inner)
+    return body
+
+
+def _same_shape_text(items: Sequence[Any], inner: str) -> str | None:
     """JSON texts of a list's items joined by ",\n" + inner, in one format call.
 
     None unless the items are exact floats, exact ints, or dicts of one
@@ -253,21 +269,36 @@ def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:
     body = _csv_run_text(rows) if len(rows) >= _RUN_MIN else None
     if body is not None:
         return header + "\n" + body + "\n"
-    lines = [header]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, float):
-                cells.append(format_real(cell, CSV_DIGITS))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *map(_csv_line, rows)]) + "\n"
+
+
+def _csv_line(row: Sequence[Any]) -> str:
+    cells = []
+    for cell in row:
+        if isinstance(cell, bool):
+            cells.append("true" if cell else "false")
+        elif isinstance(cell, float):
+            cells.append(format_real(cell, CSV_DIGITS))
+        else:
+            cells.append(str(cell))
+    return ",".join(cells)
 
 
 def _csv_run_text(rows: Sequence[Sequence[Any]]) -> str | None:
+    """CSV lines of the rows, the run in one format call.
+
+    The run is all rows, or all but the last when only the last breaks its
+    shape; None if neither is a run (see _same_shape_csv).
+    """
+    body = _same_shape_csv(rows)
+    if body is None and len(rows) > _RUN_MIN:
+        body = _same_shape_csv(rows[:-1])
+        if body is not None:
+            body += "\n" + _csv_line(rows[-1])
+    return body
+
+
+def _same_shape_csv(rows: Sequence[Sequence[Any]]) -> str | None:
     """CSV lines of the rows in one format call; None unless every row has the
     first row's length and each column holds one exact float or int type."""
     first, last = rows[0], rows[-1]

@@ -4,13 +4,16 @@ Node i sits at x_i = i - d_i with d_i in (-1, 1); a positive shift moves the
 node toward the collector, and the regular, unit-spaced chain is d = 0.  The
 equal-energy flow solves the conservation and pairwise energy-equality
 balance equations in one linear-time walk along the chain; the dense system
-of those rows is assembled only as a test reference.  The stability
-question is how far a single node may move before that flow stops being
-feasible, and hence stops solving the minimax energy problem.  A move of
-one node changes only the three costs it touches, so a stability probe is
-O(1) once the relay sums of _relay_sums, which the solve and the volume
-limits read too, have summed up the rest of the chain; a sweep costs the
-chain once and reruns only the walk per grid point.
+of those rows is assembled only as a test reference.  The walk works on
+flat lists, the costs D_i and L_i indexed by node and the flows it returns
+(see _equal_energy_flows), and costs a chain through one cost_function
+built per chain; a FlowMatrix is built only for a returned solution.  The
+stability question is how far a single node may move before that flow
+stops being feasible, and hence stops solving the minimax energy problem.
+A move of one node changes only the three costs it touches, so a stability
+probe is O(1) once the relay sums of _relay_sums, which the solve and the
+volume limits read too, have summed up the rest of the chain; a sweep
+costs the chain once and reruns only the walk per grid point.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .cost import CostSeries, Positions, transmission_cost
+from .cost import CostSeries, Positions, cost_function
+from .cost import transmission_cost  # noqa: F401  bench/spans.py traces it by this name
 from .errors import IndexOutOfRange, NegativeFlow, SingularMatrix
 from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix, is_equal_energy
 
@@ -93,15 +97,15 @@ def _costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
     its cost, so a regular chain pays n + 1 cost evaluations.
     """
     x = net.positions().x
-    series = net.series
+    cost = cost_function(net.series)
     direct = [0.0] * (net.n + 1)
     left = [0.0] * (net.n + 1)
     gap = hop = None
     for i in range(1, net.n + 1):
-        direct[i] = transmission_cost(series, x[i], 0.0)
+        direct[i] = cost(x[i], 0.0)
         if x[i] - x[i - 1] != gap:
             gap = x[i] - x[i - 1]
-            hop = transmission_cost(series, x[i], x[i - 1])
+            hop = cost(x[i], x[i - 1])
         left[i] = hop
     return direct, left
 
@@ -116,12 +120,16 @@ def _relay_sums(
     for k < ``last``.  The backward walk from the far end's zero relay gives
     c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k for
     k > ``first``; c and e are zero past n.  The backward walk's s_k come
-    last, zero for k <= ``first`` + 1.  A zero division, from a zero hop
-    cost or from s_k = 0 on the way back, raises SingularMatrix.
+    last, zero for k <= ``first`` + 1.  Where no backward walk runs
+    (``first`` + 1 >= n), c, e and s are empty.  A zero division, from a
+    zero hop cost or from s_k = 0 on the way back, raises SingularMatrix.
     """
     n = len(volumes)
-    a, b, c, e = [0.0] * last, [0.0] * last, [0.0] * (n + 2), [0.0] * (n + 2)
-    s = [0.0] * (n + 1)
+    a, b = [0.0] * last, [0.0] * last
+    if first + 1 < n:
+        c, e, s = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 1)
+    else:
+        c, e, s = [], [], []
     try:
         for k in range(1, last):
             shrink = 1.0 - left[k] / direct[k]
@@ -138,40 +146,54 @@ def _relay_sums(
 
 def _equal_energy_flows(
     volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
-) -> tuple[dict[tuple[int, int], float], float]:
+) -> tuple[list[float], list[float], float]:
     """Signed equal-energy flows on the chain support and their common energy E.
 
     direct[i] and left[i] are node i's costs to reach the collector and node
     i - 1 (index 0 unused).  The forward relay sums (see _relay_sums) reach
     the far end, where q_{n+1,n} = a_n + b_n E = 0 fixes E, and a second
-    walk evaluates the direct flows at that E.  Entries may be negative
-    outside the feasible region.
+    walk evaluates the direct flows at that E.  Returns sent, relays and E:
+    sent[i] = q_{i,0} for i = 1..n and relays[i] = q_{i,i-1} for i = 2..n,
+    the lower indices unused and zero.  Entries may be negative outside the
+    feasible region.  The walk's order, direct flows 1..n and then relays
+    n..2 (see _walk_order), decides which of tied flows is named.
     """
     n = len(volumes)
     a, b, *_ = _relay_sums(volumes, direct, left, n, n + 1)
     energy = -a[n] / b[n]  # b_n >= 1 / D_n > 0, or NaN, for a nonnegative cost
-    q: dict[tuple[int, int], float] = {}
+    sent = [0.0] * (n + 1)
     relay = 0.0
     for i in range(1, n + 1):
-        q[(i, 0)] = (energy - relay * left[i]) / direct[i]
-        relay += q[(i, 0)] - float(volumes[i - 1])
+        sent[i] = flow = (energy - relay * left[i]) / direct[i]
+        relay += flow - float(volumes[i - 1])
     # the relays again, summed from the far end where they are small, so
     # that each keeps its relative precision; node 1 sends on all it holds
+    relays = [0.0] * (n + 1)
     relay = 0.0
     for i in range(n, 1, -1):
-        relay += float(volumes[i - 1]) - q[(i, 0)]
-        q[(i, i - 1)] = relay
-    q[(1, 0)] = float(volumes[0]) + relay
-    return q, energy
+        relay += float(volumes[i - 1]) - sent[i]
+        relays[i] = relay
+    sent[1] = float(volumes[0]) + relay
+    return sent, relays, energy
+
+
+def _walk_order(sent: list[float], relays: list[float]) -> list[float]:
+    """A walk's flows in its order: q_{1,0}, ..., q_{n,0}, then q_{n,n-1}, ..., q_{2,1}."""
+    return sent[1:] + relays[:1:-1]
+
+
+def _walk_key(k: int, n: int) -> tuple[int, int]:
+    """The (sender, receiver) of entry k of _walk_order on an n-node chain."""
+    return (k + 1, 0) if k < n else (2 * n - k, 2 * n - k - 1)
 
 
 def _checked_energies(
-    q: dict[tuple[int, int], float], direct: Sequence[float], left: Sequence[float]
+    sent: list[float], relays: list[float], direct: Sequence[float], left: Sequence[float]
 ) -> list[float]:
     """Node energies of a walk's flows; SingularMatrix when they disagree or are not finite."""
-    energies = [
-        q[(i, 0)] * direct[i] + (q[(i, i - 1)] * left[i] if i >= 2 else 0.0)
-        for i in range(1, len(direct))
+    energies = [sent[1] * direct[1] + 0.0]  # node 1 has no relay term; + 0.0 as for the others
+    energies += [
+        q * d + r * h for q, d, r, h in zip(sent[2:], direct[2:], relays[2:], left[2:])
     ]
     if not is_equal_energy(energies, EQUAL_ENERGY_TOL):
         spread = max(energies) - min(energies)
@@ -180,7 +202,8 @@ def _checked_energies(
 
 
 def _equal_energy_solution(
-    q: dict[tuple[int, int], float],
+    sent: list[float],
+    relays: list[float],
     common: float,
     direct: Sequence[float],
     left: Sequence[float],
@@ -190,15 +213,15 @@ def _equal_energy_solution(
 
     SingularMatrix signals node energies that disagree or are not finite;
     NegativeFlow, raised only with ``check_flows``, names the most negative
-    component.
+    component, the first in the walk's order among ties.
     """
-    energies = _checked_energies(q, direct, left)
+    energies = _checked_energies(sent, relays, direct, left)
     if check_flows:
-        lowest = min(q.values())
+        flows = _walk_order(sent, relays)
+        lowest = min(flows)
         if lowest < -FLOW_ZERO_TOL:
-            worst = next(key for key, value in q.items() if value == lowest)
-            raise NegativeFlow(worst, lowest)
-    return EqualEnergySolution(FlowMatrix(len(direct) - 1, q), tuple(energies), common)
+            raise NegativeFlow(_walk_key(flows.index(lowest), len(sent) - 1), lowest)
+    return EqualEnergySolution(FlowMatrix._of_chain(sent, relays), tuple(energies), common)
 
 
 def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
@@ -253,8 +276,8 @@ def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> Equal
     solution for boundary exploration.
     """
     direct, left = _costs(net)
-    q, energy = _equal_energy_flows(net.volumes, direct, left)
-    return _equal_energy_solution(q, energy, direct, left, check_flows)
+    sent, relays, energy = _equal_energy_flows(net.volumes, direct, left)
+    return _equal_energy_solution(sent, relays, energy, direct, left, check_flows)
 
 
 def node_energy_sn(net: PerturbedNetwork) -> float:
@@ -341,7 +364,7 @@ def flow_quadratics_a1(n: int, i: int, d: float) -> tuple[float, float]:
 
 
 def _move_node(
-    series: CostSeries,
+    cost: Callable[[float, float], float],
     x: Sequence[float],
     i: int,
     d: float,
@@ -350,16 +373,17 @@ def _move_node(
 ) -> tuple[float, float, float | None]:
     """Recost node i of chain x moved to i - d, in place in direct and left.
 
-    Returns D_i, L_i and L_{i+1} (None for the last node).  The coordinate is
-    built as Positions.from_shifts builds it, so each cost equals, bit for
-    bit, the one the moved chain's own costing computes.
+    ``cost`` is the chain's cost_function.  Returns D_i, L_i and L_{i+1}
+    (None for the last node).  The coordinate is built as
+    Positions.from_shifts builds it, so each cost equals, bit for bit, the
+    one the moved chain's own costing computes.
     """
     xi = i - d
-    direct[i] = transmission_cost(series, xi, 0.0)
-    left[i] = transmission_cost(series, xi, x[i - 1])
+    direct[i] = cost(xi, 0.0)
+    left[i] = cost(xi, x[i - 1])
     if i + 1 == len(x):
         return direct[i], left[i], None
-    left[i + 1] = transmission_cost(series, x[i + 1], xi)
+    left[i + 1] = cost(x[i + 1], xi)
     return direct[i], left[i], left[i + 1]
 
 
@@ -416,6 +440,8 @@ def _probe_sums(
     """
     n = len(volumes)
     a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
+    if not c:  # no backward walk: the sums past node first + 1 are zero
+        c = e = [0.0] * (n + 2)
     head, tail = [_OPEN] * last, [_OPEN] * (n + 3)
     for k in range(1, last):
         flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])
@@ -518,32 +544,37 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     # every probe replaces node i's own shift, so the set-up is the unshifted chain's
     template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series) if shifted else net
     direct, left = _costs(template)
-    x, series, volumes = template.positions().x, net.series, net.volumes
+    x, cost, volumes = template.positions().x, cost_function(net.series), net.volumes
 
-    def walk(i: int) -> dict[tuple[int, int], float]:
+    def walk() -> list[float] | None:
+        """The walk's signed flows in its order; None where it is ill-conditioned."""
         try:
-            q, _ = _equal_energy_flows(volumes, direct, left)
-            _checked_energies(q, direct, left)
+            sent, relays, _ = _equal_energy_flows(volumes, direct, left)
+            _checked_energies(sent, relays, direct, left)
         except SingularMatrix:  # an ill-conditioned walk counts as infeasible
-            return {(i, 0): -math.inf}
+            return None
         # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
-        return q
+        return _walk_order(sent, relays)
 
-    q = walk(nodes[0])
-    worst = min(q, key=q.__getitem__)
-    if not q[worst] > 0.0:
-        raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
+    flows = walk()
+    if flows is None:
+        raise NegativeFlow((nodes[0], 0), -math.inf, "solved flow not positive at d = 0")
+    lowest = min(flows)
+    if not lowest > 0.0:
+        worst = _walk_key(flows.index(lowest), net.n)
+        raise NegativeFlow(worst, lowest, "solved flow not positive at d = 0")
     sums = _probe_sums(volumes, direct, left, min(nodes), max(nodes))
 
     def interval(i: int) -> StabilityInterval:
         probe = _shift_probe(sums, i)
 
         def fast(d: float) -> bool:
-            return probe(*_move_node(series, x, i, d, direct, left))
+            return probe(*_move_node(cost, x, i, d, direct, left))
 
         def full(d: float) -> bool:
-            _move_node(series, x, i, d, direct, left)
-            return min(walk(i).values()) > 0.0
+            _move_node(cost, x, i, d, direct, left)
+            flows = walk()
+            return flows is not None and min(flows) > 0.0
 
         def boundary(end: float, limit: float) -> float:
             good, edge = _bisect(fast, end)
@@ -576,18 +607,19 @@ def sweep(
     ``kind`` is "Q" or "d" and index is a node in 1..n.  The chain is costed
     once: a volume point reruns only the walk, and a shift point recosts
     D_index, L_index and L_index+1 first.  Each point runs the energy-spread
-    check and reads its smallest flow after FlowMatrix's clamp; the energy
-    is None where that flow is below -FLOW_ZERO_TOL.  A volume that is not
-    positive, a shift outside (-1, 1) or one that moves the node past a
-    neighbour raise ValueError; node energies that disagree raise
-    SingularMatrix.
+    check and reads its smallest flow after FlowMatrix's clamp, the first
+    of tied flows in the walk's order, so that a zero keeps its sign (see
+    _clamped_min); no FlowMatrix is built.  The energy is None where that
+    flow is below -FLOW_ZERO_TOL.  A volume that is not positive, a shift
+    outside (-1, 1) or one that moves the node past a neighbour raise
+    ValueError; node energies that disagree raise SingularMatrix.
     """
     if kind == "Q" and any(v <= 0 for v in grid):
         raise ValueError("volume grid values must be positive")
     if kind == "d" and any(abs(v) >= 1 for v in grid):
         raise ValueError("shift grid values must stay inside (-1, 1)")
     direct, left = _costs(net)
-    x = net.positions().x
+    x, cost = net.positions().x, cost_function(net.series)
     volumes = list(net.volumes)
     rows = []
     for value in grid:
@@ -601,12 +633,26 @@ def sweep(
                 raise ValueError(
                     f"d{index} = {value:g}: coordinates must increase strictly (index {k})"
                 )
-            _move_node(net.series, x, index, value, direct, left)
-        q, energy = _equal_energy_flows(volumes, direct, left)
-        sol = _equal_energy_solution(q, energy, direct, left, check_flows=False)
-        min_flow = sol.flow.min_entry()
+            _move_node(cost, x, index, value, direct, left)
+        sent, relays, energy = _equal_energy_flows(volumes, direct, left)
+        _checked_energies(sent, relays, direct, left)
+        min_flow = _clamped_min(_walk_order(sent, relays))
         rows.append((value, energy if min_flow >= -FLOW_ZERO_TOL else None, min_flow))
     return rows
+
+
+def _clamped_min(flows: list[float]) -> float:
+    """min of the flows after FlowMatrix's clamp of [-FLOW_ZERO_TOL, 0) to 0.0.
+
+    The clamp keeps the order, so only a zero minimum needs the clamped
+    flows: it is the first flow in [-FLOW_ZERO_TOL, 0], itself if a signed
+    zero and 0.0 otherwise.
+    """
+    lowest = min(flows)
+    if not -FLOW_ZERO_TOL <= lowest <= 0.0:
+        return lowest
+    first = next(q for q in flows if -FLOW_ZERO_TOL <= q <= 0.0)
+    return first if first == 0.0 else 0.0
 
 
 def closed_form_a1(positions: Positions, volumes: Sequence[float]) -> EqualEnergySolution:
@@ -622,17 +668,18 @@ def closed_form_a1(positions: Positions, volumes: Sequence[float]) -> EqualEnerg
     x = positions.x
     weighted = [x[j] * float(volumes[j - 1]) for j in range(1, n + 1)]
     total = math.fsum(weighted)
-    q: dict[tuple[int, int], float] = {(1, 0): total / (n * x[1])}
+    sent, relays = [0.0] * (n + 1), [0.0] * (n + 1)
+    sent[1] = total / (n * x[1])
     prefix = 0.0
     for i in range(2, n + 1):
         prefix += weighted[i - 2]
-        q[(i, 0)] = (
+        sent[i] = (
             n * (x[i] - x[i - 1]) * prefix + (i * x[i - 1] - (i - 1) * x[i]) * total
         ) / (n * x[i] * x[i - 1])
         suffix = total - prefix
-        q[(i, i - 1)] = ((i - 1) * suffix - (n - i + 1) * prefix) / (n * x[i - 1])
+        relays[i] = ((i - 1) * suffix - (n - i + 1) * prefix) / (n * x[i - 1])
     left = [0.0] + [x[i] - x[i - 1] for i in range(1, n + 1)]
-    return _equal_energy_solution(q, total / n, list(x), left)
+    return _equal_energy_solution(sent, relays, total / n, list(x), left)
 
 
 def energy_bounds_perturbed(net: PerturbedNetwork) -> tuple[float, float]:

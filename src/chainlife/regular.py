@@ -64,8 +64,11 @@ def node_energy_closed_form(net: PerturbedNetwork) -> float:
 
 
 def raw_flows(net: PerturbedNetwork) -> dict[tuple[int, int], float]:
-    """Flow components without feasibility checks; diagnostic use only."""
-    return _equal_energy_flows(net.volumes, *_costs(net))[0]
+    """Flow components without feasibility checks, in the walk's order; diagnostic use only."""
+    sent, relays, _ = _equal_energy_flows(net.volumes, *_costs(net))
+    flows = {(i, 0): sent[i] for i in range(1, net.n + 1)}
+    flows.update(((i, i - 1), relays[i]) for i in range(net.n, 1, -1))
+    return flows
 
 
 def harmonic_flow_a2(i: int, n: int) -> float:
@@ -89,10 +92,8 @@ def check_q_constraints(net: PerturbedNetwork) -> bool:
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    q = raw_flows(net)
-    return all(
-        net.volumes[i - 1] > q[(i, 0)] - Q_CONSTRAINT_TOL for i in range(2, net.n + 1)
-    )
+    sent, _, _ = _equal_energy_flows(net.volumes, *_costs(net))
+    return all(q > flow - Q_CONSTRAINT_TOL for q, flow in zip(net.volumes[1:], sent[2:]))
 
 
 def _finite(value: float) -> float | None:

@@ -25,7 +25,8 @@ class FlowMatrix:
     Entries with i == j or j as the sender collector are rejected outright.
     Tiny negative amounts (above -1e-9) are rounding noise from the solvers
     and are clamped to zero; larger negative values are kept so that the
-    validators can report them.
+    validators can report them.  Entries are kept sorted by (i, j), the
+    order of items() and of min_entry's ties.
     """
 
     __slots__ = ("n", "_entries")
@@ -44,13 +45,34 @@ class FlowMatrix:
                 value = 0.0
             clean[(i, j)] = value
         self.n = n
-        self._entries = clean
+        self._entries = dict(sorted(clean.items()))
+
+    @classmethod
+    def _of_chain(cls, sent: Sequence[float], relays: Sequence[float]) -> FlowMatrix:
+        """The flow of a chain walk, with the clamp but without the index checks.
+
+        sent[i] is q_{i,0} for i = 1..n and relays[i] is q_{i,i-1} for
+        i = 2..n (lower indices unused), floats that the walk computed.
+        Those keys are in range by construction and are entered in sorted
+        order.
+        """
+        n = len(sent) - 1
+        low = -FLOW_ZERO_TOL
+        entries = {(1, 0): 0.0 if low <= sent[1] < 0.0 else sent[1]}
+        for i in range(2, n + 1):
+            q, r = sent[i], relays[i]
+            entries[(i, 0)] = 0.0 if low <= q < 0.0 else q
+            entries[(i, i - 1)] = 0.0 if low <= r < 0.0 else r
+        flow = cls.__new__(cls)
+        flow.n = n
+        flow._entries = entries
+        return flow
 
     def amount(self, i: int, j: int) -> float:
         return self._entries.get((i, j), 0.0)
 
     def items(self) -> list[tuple[tuple[int, int], float]]:
-        return sorted(self._entries.items())
+        return list(self._entries.items())
 
     def min_entry(self) -> float:
         if not self._entries:

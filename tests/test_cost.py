@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlife import (
+    ChainlifeError,
     CostSeries,
     ExponentBelowOne,
     NegativeCoefficient,
@@ -19,6 +20,7 @@ from chainlife import (
     transmission_cost,
     unit_hop_costs,
 )
+from chainlife.cost import cost_function
 
 term_lists = st.lists(
     st.tuples(
@@ -136,3 +138,79 @@ def test_exponential_family_truncation_depth():
     assert worst_error(26) < 1e-9
     short = worst_error(12)
     assert 1e-3 < short < 1e-2
+
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+def _outcome(cost, xi: float, xj: float) -> str:
+    """A cost's exact text, or its error's type and message."""
+    try:
+        return repr(cost(xi, xj))
+    except ChainlifeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+exponents = st.floats(min_value=1.0, max_value=40.0) | st.integers(1, 40).map(float)
+hand_lambdas = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from([0.0, -0.0, -1.0, 1.0])
+
+
+@st.composite
+def costed_pairs(draw):
+    """A series of 1-3 terms, validated or hand-built with any sign of
+    coefficient, and coordinate pairs at distances from 0 to past overflow."""
+    exps = draw(st.lists(exponents, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.05, 5.0), min_size=len(exps), max_size=len(exps)))
+        series = build_cost_series(list(zip(weights, exps)), auto_normalize=True)
+    else:
+        lams = draw(st.lists(hand_lambdas, min_size=len(exps), max_size=len(exps)))
+        series = CostSeries(tuple(zip(lams, exps)))
+    edge = MAX_FLOAT ** (1.0 / max(exps))  # where the steepest term overflows
+    s = draw(
+        st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, edge])
+        | st.floats(min_value=0.0, max_value=1e3)
+        | st.floats(min_value=edge * (1 - 1e-12), max_value=edge * (1 + 1e-12))
+        | st.floats(min_value=edge * 0.5, max_value=edge * 2.0)
+    )
+    base = draw(st.sampled_from([0.0, 1.0, -2.5, 7.25]))
+    return series, [(s, 0.0), (0.0, s), (-s, 0.0), (base + s, base), (base, base + s)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(costed_pairs())
+def test_cost_function_is_transmission_cost_bit_for_bit(case):
+    series, pairs = case
+    cost = cost_function(series)
+    for xi, xj in pairs:
+        assert _outcome(cost, xi, xj) == _outcome(
+            lambda a, b: transmission_cost(series, a, b), xi, xj
+        ), (series, xi, xj)
+
+
+def test_cost_function_edge_cases():
+    # zero distance, underflow, overflow with its message, a hand-built
+    # negative or zero coefficient, and three terms, as transmission_cost has them
+    quadratic = single_exponent_series(2.0)
+    two = build_cost_series([(0.5, 1.0), (0.5, 40.0)])
+    cases = [
+        (quadratic, 3.0, 3.0),
+        (single_exponent_series(40.0), 5e-324, 0.0),
+        (quadratic, 1e200, 0.0),
+        (two, 0.0, 1e10),
+        (two, 0.0, MAX_FLOAT ** (1 / 40) * (1 + 1e-15)),
+        (CostSeries(((-0.5, 2.0),)), 0.0, 3.0),
+        (CostSeries(((0.0, 2.0), (-0.0, 3.0))), 0.0, 3.0),
+        (CostSeries(((2.0, 2.0), (-1.0, 3.0))), 0.0, 3.0),
+        (build_cost_series([(0.2, 1.0), (0.3, 2.0), (0.5, 3.0)]), 0.0, 2.5),
+    ]
+    outcomes = []
+    for series, xi, xj in cases:
+        outcomes.append(_outcome(cost_function(series), xi, xj))
+        assert outcomes[-1] == _outcome(lambda a, b: transmission_cost(series, a, b), xi, xj)
+    assert outcomes[0] == "0.0" and outcomes[1] == "0.0"
+    assert outcomes[2] == (
+        "ChainlifeError: transmission cost over distance 1e+200 exceeds the float range"
+    )
+    assert outcomes[3].startswith("ChainlifeError") and outcomes[4].startswith("ChainlifeError")
+    assert outcomes[5] == "-4.5" and outcomes[7] == "-9.0"

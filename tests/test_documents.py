@@ -27,6 +27,7 @@ from chainlife.documents import (
     solution_csv,
     solution_document,
     stability_q_csv,
+    stability_q_document,
     sweep_csv,
 )
 
@@ -264,10 +265,16 @@ def uniform_runs(draw, reals=run_reals):
     return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
 
 
+# items that break a run's shape when they come last: the run before them
+# is written in one format call and they value by value
+odd_items = st.sampled_from([None, True, "x", 2**70, 0.25, 3, [1.5], {"x": None}, {}])
+
+
 @settings(max_examples=300, deadline=None)
-@given(run=uniform_runs(), key=run_keys)
-def test_uniform_runs_match_the_value_by_value_path(run, key):
-    for doc in (run, {key: run, "after": [run, run]}):
+@given(run=uniform_runs(), key=run_keys, odd=odd_items)
+def test_uniform_runs_match_the_value_by_value_path(run, key, odd):
+    odd_last = run + [odd if not isinstance(run[0], dict) else dict.fromkeys(run[0], odd)]
+    for doc in (run, {key: run, "after": [run, run]}, odd_last, {key: [odd_last, run]}):
         text = json_dumps(doc)
         assert text == item_by_item(json_dumps, doc)
         assert json.loads(text) == doc
@@ -275,6 +282,8 @@ def test_uniform_runs_match_the_value_by_value_path(run, key):
         assert json_dumps(run) == json.dumps(run, indent=2) + "\n"
     rows = [tuple(row.values()) if isinstance(row, dict) else (row, row) for row in run]
     assert csv_text("h", rows) == item_by_item(csv_text, "h", rows)
+    for last in (rows[-1][:-1] + (odd,), rows[-1] + (odd,), (odd,) * len(rows[-1])):
+        assert csv_text("h", rows + [last]) == item_by_item(csv_text, "h", rows + [last])
 
 
 def _reals_of(run):
@@ -340,6 +349,10 @@ def test_a_non_finite_real_in_a_run_raises_on_both_paths(bad, where):
         (json_dumps, {"flows": flows}),
         (csv_text, "from,to,amount", rows),
         (csv_text, "x", [(x,) for x in floats]),
+        # the same before an odd last item, which leaves the rest a run
+        (json_dumps, floats + [None]),
+        (json_dumps, {"flows": flows + [{"from": RUN, "to": 0, "amount": None}]}),
+        (csv_text, "from,to,amount", rows + [(RUN, 0, "inf")]),
     ]
     for write, *args in cases:
         for path in (write, lambda *a, w=write: item_by_item(w, *a)):
@@ -355,6 +368,11 @@ def test_a_run_fails_where_the_value_by_value_path_fails():
         run = [*floats, {"x": first}, {"x": then}]
         for path in (json_dumps, lambda doc: item_by_item(json_dumps, doc)):
             with pytest.raises(error):
+                path(run)
+    # in a run before an odd last item: the run's inf comes first
+    for run in ([*floats, {"x": math.inf}, {"x": {1}}], [*floats, {"x": math.inf}, {1}]):
+        for path in (json_dumps, lambda doc: item_by_item(json_dumps, doc)):
+            with pytest.raises(ValueError):
                 path(run)
 
 
@@ -415,3 +433,38 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
     assert seen[0].count(("text", True)) == 3
     assert ("run", False) not in seen[0] and seen[0].count(("run", True)) == 2
     assert seen[0].count(("csv", True)) == 1
+
+
+def test_an_odd_last_row_leaves_the_rest_a_run(monkeypatch):
+    # stability-q over every node: the last node's q_max is null (JSON) and
+    # inf (CSV), so its row breaks the shape; the other rows are one run
+    calls = []
+    json_run, csv_run = documents._same_shape_text, documents._same_shape_csv
+
+    def counted(name, write):
+        def wrapper(*args):
+            result = write(*args)
+            calls.append((name, len(args[0]), result is not None))
+            return result
+        return wrapper
+
+    n = 1000
+    rows = [(i, 0.0, 1.0 + i / 7) for i in range(1, n)] + [(n, 0.5, None)]
+    expected = (
+        item_by_item(json_dumps, stability_q_document(rows, True, True)),
+        item_by_item(stability_q_csv, rows),
+    )
+    monkeypatch.setattr(documents, "_same_shape_text", counted("json", json_run))
+    monkeypatch.setattr(documents, "_same_shape_csv", counted("csv", csv_run))
+    assert (json_dumps(stability_q_document(rows, True, True)), stability_q_csv(rows)) == expected
+    assert calls == [
+        ("json", n, False), ("json", n - 1, True), ("csv", n, False), ("csv", n - 1, True)
+    ]
+    # a run of exactly _RUN_MIN before the odd row is not split: the rest is too short
+    calls.clear()
+    short = rows[: RUN - 1] + rows[-1:]
+    assert json_dumps(stability_q_document(short, True, True)) == item_by_item(
+        json_dumps, stability_q_document(short, True, True)
+    )
+    assert stability_q_csv(short) == item_by_item(stability_q_csv, short)
+    assert calls == [("json", RUN, False), ("csv", RUN, False)]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from chainlife import (
+    ChainlifeError,
+    CostSeries,
     IndexOutOfRange,
     NegativeFlow,
     PerturbedNetwork,
@@ -29,10 +31,18 @@ from chainlife import (
     volume_limits,
 )
 from chainlife import perturbed
-from chainlife.perturbed import BISECTION_TOL, BRACKET_MARGIN
+from chainlife.cost import cost_function
+from chainlife.perturbed import BISECTION_TOL, BRACKET_MARGIN, sweep
+from chainlife.validate import FLOW_ZERO_TOL
 from chainlife.validate import check_conservation
 
-from helpers import random_series, unit_region_volumes
+from helpers import (
+    random_series,
+    reference_intervals,
+    reference_solve,
+    reference_sweep,
+    unit_region_volumes,
+)
 
 
 def unit_perturbed(n: int, a: float, shifts=None) -> PerturbedNetwork:
@@ -398,7 +408,7 @@ def test_shift_probe_decides_as_the_full_solve():
         n = int(rng.integers(1, 16))
         volumes = tuple(float(v) for v in rng.uniform(0.1, 3.0, size=n))
         net = PerturbedNetwork(n, (0.0,) * n, volumes, random_series(rng))
-        x = net.positions().x
+        x, cost = net.positions().x, cost_function(net.series)
         for i in range(1, n + 1):
             direct, left = perturbed._costs(net)
             sums = perturbed._probe_sums(volumes, direct, left, i, i)
@@ -410,13 +420,24 @@ def test_shift_probe_decides_as_the_full_solve():
                 flow = solve_equal_energy(probe_net, check_flows=False).flow
                 if abs(flow.min_entry()) < 1e-9:
                     continue
-                costs = perturbed._move_node(net.series, x, i, float(d), direct, left)
+                costs = perturbed._move_node(cost, x, i, float(d), direct, left)
                 feasible = probe(*costs)
                 assert feasible == (flow.min_entry() > 0.0), (n, i, d)
                 negative = {key for key, v in flow.items() if v < 0.0}
                 window += bool(negative) and not negative & {(i, 0), (i + 1, 0), (i + 1, i)}
                 relay += negative == {(i + 1, i)}
     assert window > 0 and relay > 0
+
+
+def test_a_walk_without_a_backward_pass_allocates_no_backward_sums():
+    # the solve reads only the forward sums a and b; c, e and s are built
+    # only where the backward walk runs (first + 1 < n)
+    net = unit_perturbed(5, 2.0)
+    direct, left = perturbed._costs(net)
+    a, b, *backward = perturbed._relay_sums(net.volumes, direct, left, 5, 6)
+    assert backward == [[], [], []] and len(a) == len(b) == 6
+    assert perturbed._relay_sums(net.volumes, direct, left, 4, 6)[2:] == ([], [], [])
+    assert [len(x) for x in perturbed._relay_sums(net.volumes, direct, left, 3, 6)[2:]] == [7, 7, 6]
 
 
 def test_a_term_no_energy_makes_positive_empties_the_window():
@@ -592,15 +613,130 @@ def test_energy_bounds_perturbed_example_and_containment():
 
 
 def test_negative_flow_names_the_first_of_tied_minima():
-    # q_{2,0} and q_{3,0} are both -1; the component named is the first in
-    # the walk's order, whichever node it belongs to
-    direct, left = [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]
-    flows = {(1, 0): 1.0, (2, 0): -1.0, (3, 0): -1.0, (2, 1): 2.0, (3, 2): 2.0}
-    for order in ([(1, 0), (2, 0), (3, 0), (2, 1), (3, 2)], [(3, 0), (2, 0), (1, 0), (3, 2), (2, 1)]):
-        q = {key: flows[key] for key in order}
+    # on unit costs node i >= 2 spends q_{i,0} + q_{i,i-1} = 1, one of the
+    # two being -1; the component named is the first -1 in the walk's order,
+    # q_{1,0}, ..., q_{n,0}, then q_{n,n-1}, ..., q_{2,1}, not in key order
+    n = 4
+    direct, left = [0.0] + [1.0] * n, [0.0, 0.0] + [1.0] * (n - 1)
+    order = [(i, 0) for i in range(1, n + 1)] + [(i, i - 1) for i in range(n, 1, -1)]
+    for negative_direct, named in [
+        ({2, 3, 4}, (2, 0)),
+        ({3}, (3, 0)),
+        ({4}, (4, 0)),
+        (set(), (4, 3)),
+    ]:
+        sent = [0.0, 1.0] + [-1.0 if i in negative_direct else 2.0 for i in range(2, n + 1)]
+        relays = [0.0, 0.0] + [2.0 if i in negative_direct else -1.0 for i in range(2, n + 1)]
+        walked = perturbed._walk_order(sent, relays)
+        assert walked == [(sent if j == 0 else relays)[i] for i, j in order]
         with pytest.raises(NegativeFlow) as info:
-            perturbed._equal_energy_solution(q, 1.0, direct, left)
-        assert info.value.component == next(key for key in order if flows[key] == -1.0)
+            perturbed._equal_energy_solution(sent, relays, 1.0, direct, left)
+        assert info.value.component == named == order[walked.index(-1.0)]
         assert info.value.value == -1.0
-        sol = perturbed._equal_energy_solution(q, 1.0, direct, left, check_flows=False)
+        sol = perturbed._equal_energy_solution(sent, relays, 1.0, direct, left, check_flows=False)
+        assert sol.node_energies == (1.0,) * n
         assert sol.flow.min_entry() == -1.0
+
+
+def _outcome(call, *args) -> str:
+    """The exact text of a result, or of the error raised with its component."""
+    try:
+        result = call(*args)
+    except (ChainlifeError, ValueError) as exc:
+        return repr((type(exc).__name__, str(exc), getattr(exc, "component", None),
+                     getattr(exc, "value", None)))
+    if isinstance(result, perturbed.EqualEnergySolution):
+        return repr((result.flow.items(), result.node_energies, result.common_energy))
+    return repr(result)
+
+
+def _harsh_chain(rng: np.random.Generator) -> PerturbedNetwork:
+    """A chain of 1-12 nodes with a 1-3-term series of exponents up to 40 or 400,
+    volumes from 1e-3 to 1e3 (node 1 at 2^-1074 now and then), and, on
+    half of them, shifts up to 0.3 or 0.9."""
+    n = int(rng.integers(1, 13))
+    k = int(rng.integers(1, 4))
+    top = float(rng.choice([4.0, 8.0, 40.0, 400.0]))
+    weights, exponents = rng.uniform(0.1, 1.0, k), rng.uniform(1.0, top, k)
+    terms = [(float(w), float(a)) for w, a in zip(weights, exponents)]
+    if rng.random() < 0.1:  # hand-built: a coefficient may be zero or negative
+        series = CostSeries(tuple((w - 0.3, a) for w, a in terms))
+    else:
+        series = build_cost_series(terms, auto_normalize=True)
+    if rng.random() < 0.5:
+        volumes = [1.0] * n
+    else:
+        volumes = [float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, n)]
+    if rng.random() < 0.1:
+        volumes[0] = 5e-324
+    if rng.random() < 0.5:
+        return PerturbedNetwork(n, (0.0,) * n, tuple(volumes), series)
+    reach = float(rng.choice([0.3, 0.9]))
+    while True:
+        shifts = tuple(float(d) for d in rng.uniform(-reach, reach, n))
+        if all(k - shifts[k - 1] < k + 1 - shifts[k] for k in range(1, n)):
+            return PerturbedNetwork(n, shifts, tuple(volumes), series)
+
+
+def test_the_list_walk_matches_the_dict_walk():
+    # the solve, the stability intervals and the sweeps give the results,
+    # bit for bit, and the errors of the walk on tuple-keyed dicts with one
+    # fsum per cost (tests/helpers.py) on random chains, shifted or not
+    rng = np.random.default_rng(2020)
+    seen = set()
+    for _ in range(300):
+        net = _harsh_chain(rng)
+        n = net.n
+        for check in (True, False):
+            got = _outcome(solve_equal_energy, net, check)
+            assert got == _outcome(reference_solve, net, check), (net, check)
+            seen.add(got.split("'")[1] if got.startswith("('") else "solved")
+        i = int(rng.integers(1, n + 1))
+        shifts = [0.0] * n
+        shifts[i - 1] = net.shifts[i - 1]
+        one_moved = PerturbedNetwork(n, tuple(shifts), net.volumes, net.series)
+        nodes = sorted({i, 1, n})
+        for chain, asked in ((one_moved, [i]), (one_moved, nodes), (net, nodes)):
+            assert _outcome(numeric_d_intervals, chain, asked) == _outcome(
+                reference_intervals, chain, asked
+            ), (chain, asked)
+        q = net.volumes[i - 1]
+        grids = {
+            "Q": [q * f for f in (1e-6, 0.01, 0.5, 1.0, 2.0, 50.0, 1e6)],
+            "d": [float(d) for d in np.linspace(-0.95, 0.95, 9)],
+        }
+        for kind, grid in grids.items():
+            got = _outcome(sweep, net, kind, i, grid)
+            assert got == _outcome(reference_sweep, net, kind, i, grid), (net, kind, i)
+    # errors of every kind were met, not only solved chains
+    assert seen == {"solved", "NegativeFlow", "SingularMatrix", "ChainlifeError"}
+
+
+def _walked(net: PerturbedNetwork) -> list[float]:
+    sent, relays, _ = perturbed._equal_energy_flows(net.volumes, *perturbed._costs(net))
+    return perturbed._walk_order(sent, relays)
+
+
+def test_a_sweep_keeps_the_sign_of_a_zero_minimum():
+    # tiny volumes and steep costs: direct flows that would be negative
+    # underflow to -0.0.  The smallest flow after the clamp is the first in
+    # the walk's order at or below zero: -0.0 itself, or +0.0 where a flow
+    # in [-1e-9, 0) comes first and is clamped
+    series = single_exponent_series(40.0)
+    volumes = (1e-309, 9.999999999999999e-307, 1e-308, 1e-308)
+    net = PerturbedNetwork(4, (0.0, 0.5, 0.9, 0.5), volumes, series)
+    rows = sweep(net, "Q", 1, [1e-309])
+    assert repr(rows[0][2]) == "-0.0"
+    assert repr(rows) == repr(reference_sweep(net, "Q", 1, [1e-309]))
+    assert [repr(q) for q in _walked(net) if q <= 0.0] == ["-0.0"]
+    volumes = (1e-306, 1e-305, 1e-304, 1e-305, 1e-306)
+    net = PerturbedNetwork(5, (0.5, 0.0, 0.5, 0.9, 0.5), volumes, series)
+    rows = sweep(net, "Q", 1, [1e-306])
+    assert repr(rows[0][2]) == "0.0" and rows[0][1] is not None
+    assert repr(rows) == repr(reference_sweep(net, "Q", 1, [1e-306]))
+    walked = _walked(net)
+    assert -FLOW_ZERO_TOL <= walked[1] < 0.0 and "-0.0" in map(repr, walked[2:])
+    assert perturbed._clamped_min([1.0, 0.0, -0.0]) == 0.0
+    assert repr(perturbed._clamped_min([1.0, -0.0, 0.0, -5e-10])) == "-0.0"
+    assert repr(perturbed._clamped_min([-5e-10, -0.0])) == "0.0"
+    assert perturbed._clamped_min([-2e-9, -0.0]) == -2e-9
