@@ -27,6 +27,7 @@ from .cost import CostSeries, series_to_terms, single_exponent_series, transmiss
 from .oracle import DEFAULT_VERIFY_TOL, certify, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
+    _costs,
     numeric_d_intervals,
     solve_equal_energy,
     stability_bounds_d,
@@ -204,11 +205,12 @@ def _cmd_stability_q(args) -> int:
     net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
     # a limit that is not finite goes to the documents as NaN (see stability_q_csv)
-    limits = [math.nan if limit is None else limit for limit in volume_limits(net)]
+    costs = _costs(net)  # one costing for the limits and the q-constraint check
+    limits = [math.nan if limit is None else limit for limit in volume_limits(net, costs)]
     rows = [
         (i, limits[i - 1], None) if i == net.n else (i, 0.0, limits[i - 1]) for i in nodes
     ]
-    ok = check_q_constraints(net)
+    ok = check_q_constraints(net, costs)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None
     if args.format == "csv":
         _write(args, docs.stability_q_csv(rows))

@@ -8,19 +8,27 @@ lists.  The serializer builds each container's text from its children's,
 and picks a scalar's text by its exact type; subclasses such as
 ``numpy.float64`` take the isinstance checks instead.
 
-A run of same-shaped values is written with one ``%`` format over a
-repeated row template instead of one value at a time: a JSON list of
-exact floats or of exact ints, a JSON list of dicts that share one
-non-empty key order and keep one exact float or int type per key (the
-flows of a solution), and CSV rows whose cells keep one exact float or
-int type per column.  ``"%.17g" % x`` and ``format(x, ".17g")`` run the
-same float formatter, as do ``"%d" % k`` and ``str(k)`` for an exact int,
-so the bytes are those of the value-by-value path.  Where only the last
-item or row breaks the shape, as the last node's row of a stability-q
-document does, the others are written as a run and it value by value.
-Every other list or row set (bools, None, strings, subclasses, nested
-containers, empty dicts, mixed types) and every run shorter than
-``_RUN_MIN`` takes that path.
+A solution's flows take the column path: solution_document puts the
+solution's FlowMatrix itself under ``"flows"``, and json_dumps and
+solution_csv write its senders, receivers and amounts straight from the
+matrix's columns with one ``%`` format over a repeated row template, a
+``{"from", "to", "amount"}`` object in JSON and ``from,to,amount`` in CSV.
+No per-flow dict or row is built and no shape is checked: a FlowMatrix
+holds int indices and float amounts by construction.  Only the
+amounts' finiteness is checked.
+
+Other runs of same-shaped values are written with one ``%`` format too,
+once their shape is checked: a JSON list of exact floats or of exact ints,
+a JSON list of dicts that share one non-empty key order and keep one exact
+float or int type per key (the nodes of a stability-q document), and CSV
+rows whose cells keep one exact float or int type per column.
+``"%.17g" % x`` and ``format(x, ".17g")`` run the same float formatter, as
+do ``"%d" % k`` and ``str(k)`` for an exact int, so the bytes are those of
+the value-by-value path.  Where only the last item or row breaks the
+shape, as the last node's row of a stability-q document does, the others
+are written as a run and it value by value.  Every other list or row set
+(bools, None, strings, subclasses, nested containers, empty dicts, mixed
+types) and every run shorter than ``_RUN_MIN`` takes that path.
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ from typing import Any, Sequence
 from .cost import CostSeries, build_cost_series, series_to_terms
 from .errors import ChainlifeError, ConfigError
 from .perturbed import EqualEnergySolution, PerturbedNetwork, StabilityInterval
+from .validate import FlowMatrix
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
@@ -250,6 +259,14 @@ def _text(value: Any, pad: str) -> str:
         if body is None:
             body = (",\n" + inner).join([_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, FlowMatrix):
+        cells = _flow_cells(value)
+        if not cells:
+            return "[]"
+        inner, field = pad + "  ", pad + "    "
+        row = f'{{\n{field}"from": %d,\n{field}"to": %d,\n{field}"amount": %.17g\n{inner}}}'
+        body = (",\n" + inner).join([row] * (len(cells) // 3)) % cells
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -316,19 +333,32 @@ def _same_shape_csv(rows: Sequence[Sequence[Any]]) -> str | None:
     return "\n".join([",".join(formats)] * len(rows)) % tuple(cells)
 
 
+def _flow_cells(flow: FlowMatrix) -> tuple:
+    """Sender, receiver and amount of each entry of a flow, row after row.
+
+    A non-finite amount raises ValueError, as on the value-by-value path.
+    """
+    senders, receivers, amounts = flow.columns()
+    if not all(map(math.isfinite, amounts)):
+        raise ValueError("documents only carry finite reals")
+    cells = [0] * (3 * len(amounts))
+    cells[0::3], cells[1::3], cells[2::3] = senders, receivers, amounts
+    return tuple(cells)
+
+
 def solution_document(sol: EqualEnergySolution) -> dict:
+    """The solution as json_dumps writes it; ``"flows"`` is the FlowMatrix itself,
+    written as a list of {"from", "to", "amount"} objects in items() order."""
     return {
-        "flows": [
-            {"from": i, "to": j, "amount": value} for (i, j), value in sol.flow.items()
-        ],
+        "flows": sol.flow,
         "node_energies": [float(e) for e in sol.node_energies],
         "common_energy": float(sol.common_energy),
     }
 
 
 def solution_csv(sol: EqualEnergySolution) -> str:
-    rows = [(i, j, value) for (i, j), value in sol.flow.items()]
-    return csv_text("from,to,amount", rows)
+    cells = _flow_cells(sol.flow)
+    return "from,to,amount" + ("\n%d,%d,%.12g" * (len(cells) // 3)) % cells + "\n"
 
 
 def stability_d_document(

@@ -26,6 +26,9 @@ from .perturbed import (
 
 Q_CONSTRAINT_TOL = 1e-12
 
+# a chain's costing as perturbed._costs returns it: D_i and L_i by node
+Costs = tuple[list[float], list[float]]
+
 
 def RegularNetwork(n: int, volumes: tuple[float, ...], series: CostSeries) -> PerturbedNetwork:
     """Unit-spaced chain of n nodes: the chain whose shifts are all zero."""
@@ -82,17 +85,18 @@ def harmonic_flow_a2(i: int, n: int) -> float:
     return (i - harmonic) / (i * (i - 1))
 
 
-def check_q_constraints(net: PerturbedNetwork) -> bool:
+def check_q_constraints(net: PerturbedNetwork, costs: Costs | None = None) -> bool:
     """Feasibility of the volume vector for the equal-energy construction.
 
     Requires Q_1 >= 1 and each later volume to exceed its own direct flow,
     which the prefix network already forces, so that every node adds to the
     relay stream toward the collector.  Strict inequalities are tested with
-    a 1e-12 slack.
+    a 1e-12 slack.  ``costs`` is the chain's costing, perturbed._costs(net),
+    when the caller has it already.
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    sent, _, _ = _equal_energy_flows(net.volumes, *_costs(net))
+    sent, _, _ = _equal_energy_flows(net.volumes, *(costs or _costs(net)))
     return all(q > flow - Q_CONSTRAINT_TOL for q, flow in zip(net.volumes[1:], sent[2:]))
 
 
@@ -100,7 +104,7 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
+def volume_limits(net: PerturbedNetwork, costs: Costs | None = None) -> tuple[float | None, ...]:
     """Q_i^max of every node i < N and Q_N^min, from one costing and the relay sums.
 
     Entry i - 1 is node i's limit with the other volumes fixed, None where
@@ -114,11 +118,12 @@ def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
     chain of their own and Q_N^min = E_{N-1} / D_N with
     E_{N-1} = -a_{N-1} / b_{N-1}.  Neither form contains the volume it
     solves for, so neither cancels however far that volume is from it.
+    ``costs`` is the chain's costing, as in check_q_constraints.
     """
     n = net.n
     if n == 1:
         return (0.0,)
-    direct, left = _costs(net)
+    direct, left = costs or _costs(net)
     volumes = [float(q) for q in net.volumes]
     a, b, c, e, s = _relay_sums(volumes, direct, left, 0, n + 1)
     values: list[float | None] = [None] * n

@@ -7,7 +7,9 @@ the same code path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cost import CostSeries, Positions, transmission_cost
@@ -22,20 +24,26 @@ EQUAL_ENERGY_TOL = 1e-9
 class FlowMatrix:
     """Sparse directed flow q[i, j]: data sent by node i to node j (0 = collector).
 
-    Entries with i == j or j as the sender collector are rejected outright.
+    Indices are integers (anything operator.index takes, stored as int);
+    entries with i == j or j as the sender collector are rejected outright.
     Tiny negative amounts (above -1e-9) are rounding noise from the solvers
     and are clamped to zero; larger negative values are kept so that the
-    validators can report them.  Entries are kept sorted by (i, j), the
-    order of items() and of min_entry's ties.
+    validators can report them.  The entries are kept as three columns,
+    senders, receivers and amounts, sorted by (i, j): the order of items(),
+    of columns() and of min_entry's ties.  amount() bisects the columns.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ("n", "_senders", "_receivers", "_amounts")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], float]):
         if n < 1:
             raise ValueError("need at least one node")
         clean: dict[tuple[int, int], float] = {}
         for (i, j), value in entries.items():
+            try:
+                i, j = index(i), index(j)
+            except TypeError:
+                raise ValueError(f"flow index ({i},{j}) is not a pair of integers") from None
             if not (1 <= i <= n) or not (0 <= j <= n):
                 raise ValueError(f"flow index ({i},{j}) outside the network")
             if i == j:
@@ -44,8 +52,11 @@ class FlowMatrix:
             if -FLOW_ZERO_TOL <= value < 0.0:
                 value = 0.0
             clean[(i, j)] = value
+        keys = sorted(clean)
         self.n = n
-        self._entries = dict(sorted(clean.items()))
+        self._senders = tuple(i for i, _ in keys)
+        self._receivers = tuple(j for _, j in keys)
+        self._amounts = tuple(map(clean.__getitem__, keys))
 
     @classmethod
     def _of_chain(cls, sent: Sequence[float], relays: Sequence[float]) -> FlowMatrix:
@@ -53,31 +64,46 @@ class FlowMatrix:
 
         sent[i] is q_{i,0} for i = 1..n and relays[i] is q_{i,i-1} for
         i = 2..n (lower indices unused), floats that the walk computed.
-        Those keys are in range by construction and are entered in sorted
-        order.
+        The columns are assembled by slices in the sorted key order (1, 0),
+        (2, 0), (2, 1), ..., (n, 0), (n, n - 1); the clamp runs only when
+        some amount is negative (or the first is NaN), and keeps a -0.0.
         """
         n = len(sent) - 1
-        low = -FLOW_ZERO_TOL
-        entries = {(1, 0): 0.0 if low <= sent[1] < 0.0 else sent[1]}
-        for i in range(2, n + 1):
-            q, r = sent[i], relays[i]
-            entries[(i, 0)] = 0.0 if low <= q < 0.0 else q
-            entries[(i, i - 1)] = 0.0 if low <= r < 0.0 else r
+        size = 2 * n - 1
+        senders, receivers, amounts = [0] * size, [0] * size, [0.0] * size
+        # entry 0 is (1, 0); node i >= 2 has (i, 0) at 2i - 3 and (i, i - 1) at 2i - 2
+        senders[0::2] = range(1, n + 1)
+        senders[1::2] = range(2, n + 1)
+        receivers[2::2] = range(1, n)
+        amounts[0] = sent[1]
+        amounts[1::2] = sent[2:]
+        amounts[2::2] = relays[2:]
+        if not min(amounts) >= 0.0:
+            low = -FLOW_ZERO_TOL
+            amounts = [0.0 if low <= q < 0.0 else q for q in amounts]
         flow = cls.__new__(cls)
         flow.n = n
-        flow._entries = entries
+        flow._senders, flow._receivers = tuple(senders), tuple(receivers)
+        flow._amounts = tuple(amounts)
         return flow
 
     def amount(self, i: int, j: int) -> float:
-        return self._entries.get((i, j), 0.0)
+        senders, receivers = self._senders, self._receivers
+        first = bisect_left(senders, i)
+        k = bisect_left(receivers, j, first, bisect_right(senders, i, first))
+        if k < len(senders) and senders[k] == i and receivers[k] == j:
+            return self._amounts[k]
+        return 0.0
 
     def items(self) -> list[tuple[tuple[int, int], float]]:
-        return list(self._entries.items())
+        return list(zip(zip(self._senders, self._receivers), self._amounts))
+
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+        """Senders, receivers and amounts of the entries, each in items() order."""
+        return self._senders, self._receivers, self._amounts
 
     def min_entry(self) -> float:
-        if not self._entries:
-            return 0.0
-        return min(self._entries.values())
+        return min(self._amounts, default=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         body = ", ".join(f"q[{i},{j}]={v:.6g}" for (i, j), v in self.items())

@@ -344,20 +344,20 @@ def test_stability_d_subset_and_guards(write_config, capsys):
 
 @pytest.mark.parametrize("n", [10, 500])
 def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, monkeypatch, n):
-    # every node's limit comes from one costing; the q-constraint check
-    # costs the chain once more, whatever the node count
+    # every node's limit and the q-constraint check come from one costing,
+    # whatever the node count; a costing builds the chain's cost function once
     calls = [0]
-    costs = regular._costs
+    cost_function = perturbed.cost_function
 
-    def counted(net):
+    def counted(series):
         calls[0] += 1
-        return costs(net)
+        return cost_function(series)
 
-    monkeypatch.setattr(regular, "_costs", counted)
+    monkeypatch.setattr(perturbed, "cost_function", counted)
     path = write_config("net.json", quadratic_chain(n))
     assert main(["stability-q", "--input", path, "--nodes", "all"]) == 0
     assert len(json.loads(capsys.readouterr().out)["nodes"]) == n
-    assert calls[0] == 2
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize("n", [10, 200])

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from chainlife import (
     ConfigError,
+    EqualEnergySolution,
+    FlowMatrix,
     PerturbedNetwork,
+    build_cost_series,
     flow_closed_form,
     single_exponent_series,
     solve_equal_energy,
@@ -174,7 +177,7 @@ def test_csv_formatting():
 def test_solution_documents():
     net = parse_network(chain_doc())
     sol = flow_closed_form(net)
-    doc = solution_document(sol)
+    doc = json.loads(json_dumps(solution_document(sol)))
     assert doc["flows"] == [
         {"from": 1, "to": 0, "amount": 1.75},
         {"from": 2, "to": 0, "amount": 0.25},
@@ -393,34 +396,37 @@ def _unit_solution(n):
     return solve_equal_energy(net)
 
 
+def _flow_dicts(sol, real=float):
+    """A solution's flows as the value-by-value path writes them: one dict per flow."""
+    return [{"from": i, "to": j, "amount": real(v)} for (i, j), v in sol.flow.items()]
+
+
 def test_solution_documents_take_the_one_format_path():
     sol = _unit_solution(1000)
-    doc = solution_document(sol)
     wrapped = {
-        "flows": [{key: Real(v) if type(v) is float else v for key, v in row.items()}
-                  for row in doc["flows"]],
-        "node_energies": [Real(e) for e in doc["node_energies"]],
-        "common_energy": Real(doc["common_energy"]),
+        "flows": _flow_dicts(sol, Real),
+        "node_energies": [Real(e) for e in sol.node_energies],
+        "common_energy": Real(sol.common_energy),
     }
-    assert json_dumps(doc) == json_dumps(wrapped)
+    assert json_dumps(solution_document(sol)) == json_dumps(wrapped)
     rows = [(i, j, Real(v)) for (i, j), v in sol.flow.items()]
     assert solution_csv(sol) == csv_text("from,to,amount", rows)
 
 
 def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
     calls = []
-    text, run_text, csv_run_text = documents._text, documents._run_text, documents._csv_run_text
 
-    def counted(name, write):
+    def counted(name):
+        write = getattr(documents, name)
+
         def wrapper(*args):
             result = write(*args)
             calls.append((name, result is not None))
             return result
-        return wrapper
+        monkeypatch.setattr(documents, name, wrapper)
 
-    monkeypatch.setattr(documents, "_text", counted("text", text))
-    monkeypatch.setattr(documents, "_run_text", counted("run", run_text))
-    monkeypatch.setattr(documents, "_csv_run_text", counted("csv", csv_run_text))
+    for name in ("_text", "_run_text", "_flow_cells", "_csv_run_text", "_csv_line"):
+        counted(name)
     seen = []
     for n in (100, 1000):
         sol = _unit_solution(n)
@@ -428,11 +434,130 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
         json_dumps(solution_document(sol))
         solution_csv(sol)
         seen.append(sorted(calls))
-    # the document, its flows and its node energies; both runs take the format path
+    # the document, its flows and its node energies; the energies are one
+    # run, and each writer reads the flows' columns once, with no text per flow
     assert seen[0] == seen[1]
-    assert seen[0].count(("text", True)) == 3
-    assert ("run", False) not in seen[0] and seen[0].count(("run", True)) == 2
-    assert seen[0].count(("csv", True)) == 1
+    assert seen[0] == sorted(
+        [("_text", True)] * 3 + [("_run_text", True)] + [("_flow_cells", True)] * 2
+    )
+
+
+def _reference_json(sol):
+    """The JSON of a solution written value by value from per-flow dicts."""
+    doc = {
+        "flows": _flow_dicts(sol),
+        "node_energies": [float(e) for e in sol.node_energies],
+        "common_energy": float(sol.common_energy),
+    }
+    return item_by_item(json_dumps, doc)
+
+
+def _reference_csv(sol):
+    """The CSV of a solution written value by value from per-flow rows."""
+    rows = [(i, j, v) for (i, j), v in sol.flow.items()]
+    return item_by_item(csv_text, "from,to,amount", rows)
+
+
+def _chain_mapping(sent, relays):
+    """The (i, j) -> amount mapping of a walk's lists, far end first, unsorted."""
+    n = len(sent) - 1
+    mapping = {}
+    for i in range(n, 1, -1):
+        mapping[(i, i - 1)], mapping[(i, 0)] = relays[i], sent[i]
+    mapping[(1, 0)] = sent[1]
+    return mapping
+
+
+# chain sizes around _RUN_MIN and up to a few hundred nodes
+chain_sizes = st.sampled_from([1, 2, RUN - 1, RUN, RUN + 1]) | st.integers(1, 300)
+# amounts a walk may return: the clamp's range [-1e-9, 0), signed zeros and
+# the subnormals next to them, and larger amounts of either sign
+edge_amounts = st.sampled_from([-0.0, 0.0, -1e-9, -1.0000000000000002e-9, 5e-324, -5e-324])
+
+
+@st.composite
+def walk_lists(draw, edges=edge_amounts):
+    """A walk's sent and relays lists: seeded amounts of three magnitudes, with
+    drawn edge amounts put in at drawn places."""
+    n = draw(chain_sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranges = np.array([(-1e3, 1e3), (-1e-9, 0.0), (0.0, 1e-6)])[rng.integers(0, 3, 2 * n - 1)]
+    amounts = rng.uniform(ranges[:, 0], ranges[:, 1]).tolist()
+    for value in draw(st.lists(edges, max_size=6)):
+        amounts[draw(st.integers(0, 2 * n - 2))] = value
+    return [0.0] + amounts[:n], [0.0, 0.0] + amounts[n:]
+
+
+def _exact(flow):
+    """A flow's entries with the sign of each zero and the type of each value."""
+    return [(key, repr(value), type(value)) for key, value in flow.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=walk_lists(edge_amounts | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_a_walk_builds_the_matrix_the_constructor_builds(lists):
+    # entries, key order, the clamp and signed zeros, with a NaN or an infinity anywhere
+    sent, relays = lists
+    n = len(sent) - 1
+    chain = FlowMatrix._of_chain(sent, relays)
+    public = FlowMatrix(n, _chain_mapping(sent, relays))
+    assert chain.n == public.n == n
+    assert _exact(chain) == _exact(public)
+    assert list(zip(*chain.columns())) == [(i, j, v) for (i, j), v in chain.items()]
+
+
+@st.composite
+def solutions(draw):
+    """A solved random chain, shifted or not, or a walk's drawn amounts, as the
+    walk's FlowMatrix or one the public constructor built, as the bench ladder does."""
+    source = draw(st.sampled_from(["solve", "drawn"]))
+    if source == "solve":
+        n = draw(chain_sizes)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        volumes = tuple(float(v) for v in 1.0 + 0.5 * rng.random(n))
+        shifts = (0.0,) * n
+        if draw(st.booleans()):
+            shifts = tuple(float(d) for d in rng.uniform(-0.3, 0.3, n))
+        series = build_cost_series([(0.5, float(rng.uniform(1.0, 2.0))), (0.5, 2.5)])
+        sol = solve_equal_energy(PerturbedNetwork(n, shifts, volumes, series), check_flows=False)
+    else:
+        sent, relays = draw(walk_lists())
+        n = len(sent) - 1
+        energies = tuple(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+        sol = EqualEnergySolution(FlowMatrix._of_chain(sent, relays), energies, energies[0])
+    if draw(st.booleans()):
+        flow = FlowMatrix(n, dict(reversed(sol.flow.items())))
+        sol = EqualEnergySolution(flow, sol.node_energies, sol.common_energy)
+    return sol
+
+
+@settings(max_examples=200, deadline=None)
+@given(sol=solutions())
+def test_solution_writers_match_the_value_by_value_path(sol):
+    assert json_dumps(solution_document(sol)) == _reference_json(sol)
+    assert solution_csv(sol) == _reference_csv(sol)
+
+
+def test_an_empty_flow_is_written_as_the_value_by_value_path_writes_it():
+    sol = EqualEnergySolution(FlowMatrix(2, {}), (0.0, 0.0), 0.0)
+    assert json_dumps(solution_document(sol)) == _reference_json(sol)
+    assert solution_csv(sol) == _reference_csv(sol) == "from,to,amount\n"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "n, lists, node", [(1, "sent", 1), (RUN, "sent", 1), (RUN, "relays", 2), (300, "relays", 300)]
+)
+def test_a_non_finite_flow_raises_on_the_column_path(bad, n, lists, node):
+    walk = {"sent": [0.0] + [1.0] * n, "relays": [0.0, 0.0] + [0.5] * (n - 1)}
+    walk[lists][node] = bad
+    sent, relays = walk["sent"], walk["relays"]
+    for flow in (FlowMatrix._of_chain(sent, relays), FlowMatrix(n, _chain_mapping(sent, relays))):
+        sol = EqualEnergySolution(flow, (1.0,) * n, 1.0)
+        writers = (lambda s: json_dumps(solution_document(s)), solution_csv)
+        for write in (*writers, _reference_json, _reference_csv):
+            with pytest.raises(ValueError, match="^documents only carry finite reals$"):
+                write(sol)
 
 
 def test_an_odd_last_row_leaves_the_rest_a_run(monkeypatch):

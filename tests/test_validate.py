@@ -33,6 +33,27 @@ def test_flow_matrix_rejects_bad_indices():
         FlowMatrix(0, {})
 
 
+def test_flow_matrix_indices_are_ints():
+    # numpy ints and bools are stored as int; a float index is rejected,
+    # so that a document writes every index as an integer
+    flow = FlowMatrix(2, {(np.int64(2), True): 0.5})
+    assert flow.items() == [((2, 1), 0.5)]
+    assert [type(k) for k in flow.items()[0][0]] == [int, int]
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        FlowMatrix(2, {(1.5, 0): 1.0})
+
+
+def test_flow_matrix_amount_reads_every_entry_and_zero_elsewhere():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 12):
+        flow = random_feasible_flow(rng, n, [1.0] * n)
+        entries = dict(flow.items())
+        for i in range(0, n + 2):
+            for j in range(-1, n + 2):
+                assert flow.amount(i, j) == entries.get((i, j), 0.0)
+    assert FlowMatrix(3, {}).amount(1, 0) == 0.0
+
+
 def test_flow_matrix_clamps_rounding_noise_only():
     flow = FlowMatrix(2, {(1, 0): 1.0, (2, 1): -5e-10, (2, 0): -0.25})
     assert flow.amount(2, 1) == 0.0
