@@ -6,7 +6,10 @@ instances outside the volume region, the HiGHS optimum checked by its duals.
 
 Exit codes: 0 success, 1 bad configuration or arguments, 2 volumes or
 shifts outside the feasible region (a routing flow went negative),
-3 verification failure or numerical breakdown.
+3 verification failure or numerical breakdown.  verify also exits 3, with
+no ``error:`` line, when any row is ``outside_region``, even when every
+check of its HiGHS optimum passed: it exits 0 only when every row is
+certified ``optimal``.
 """
 from __future__ import annotations
 

@@ -8,27 +8,19 @@ lists.  The serializer builds each container's text from its children's,
 and picks a scalar's text by its exact type; subclasses such as
 ``numpy.float64`` take the isinstance checks instead.
 
-A solution's flows take the column path: solution_document puts the
-solution's FlowMatrix itself under ``"flows"``, and json_dumps and
-solution_csv write its senders, receivers and amounts straight from the
-matrix's columns with one ``%`` format over a repeated row template, a
-``{"from", "to", "amount"}`` object in JSON and ``from,to,amount`` in CSV.
-No per-flow dict or row is built and no shape is checked: a FlowMatrix
-holds int indices and float amounts by construction.  Only the
-amounts' finiteness is checked.
-
-Other runs of same-shaped values are written with one ``%`` format too,
-once their shape is checked: a JSON list of exact floats or of exact ints,
-a JSON list of dicts that share one non-empty key order and keep one exact
-float or int type per key (the nodes of a stability-q document), and CSV
-rows whose cells keep one exact float or int type per column.
-``"%.17g" % x`` and ``format(x, ".17g")`` run the same float formatter, as
-do ``"%d" % k`` and ``str(k)`` for an exact int, so the bytes are those of
-the value-by-value path.  Where only the last item or row breaks the
-shape, as the last node's row of a stability-q document does, the others
-are written as a run and it value by value.  Every other list or row set
-(bools, None, strings, subclasses, nested containers, empty dicts, mixed
-types) and every run shorter than ``_RUN_MIN`` takes that path.
+Two kinds of value are written with one ``%`` format, because they are
+the ones the benchmark's workloads write at length.  A solution's flows
+take the column path: solution_document puts the solution's FlowMatrix
+itself under ``"flows"``, and json_dumps and solution_csv write its
+senders, receivers and amounts straight from the matrix's columns over a
+repeated row template, a ``{"from", "to", "amount"}`` object in JSON and
+``from,to,amount`` in CSV.  No per-flow dict or row is built and no shape
+is checked: a FlowMatrix holds int indices and float amounts by
+construction.  And a JSON list of at least ``_RUN_MIN`` exact floats (a
+solution's node energies, verify's volumes) is joined with one
+``"%.17g"``, which runs the same float formatter as ``format(x, ".17g")``.
+Both check the reals' finiteness first.  Every other list and every CSV
+row is written value by value.
 """
 from __future__ import annotations
 
@@ -156,84 +148,21 @@ _SCALAR_TEXT = {
 }
 
 
-# formats of the exact types that a run written in one format call may
-# hold; a run of fewer than _RUN_MIN values or rows is written value by
-# value, which is faster there
-_JSON_FORMAT = {float: "%.17g", int: "%d"}
-_CSV_FORMAT = {float: "%.12g", int: "%d"}
+# a list of fewer exact floats is written value by value, which is faster there
 _RUN_MIN = 8
 
 
-def _column_formats(cells: Sequence[Any], width: int, formats: dict) -> list[str] | None:
-    """Formats of the columns of row-major cells, width to a row.
-
-    None unless every column holds one exact type that formats names; a
-    non-finite real raises ValueError, as on the value-by-value path.
-    """
-    found = []
-    for column in range(width):
-        kinds = set(map(type, cells[column::width]))
-        if len(kinds) != 1 or (kind := kinds.pop()) not in formats:
-            return None
-        found.append(formats[kind])
-    real = formats[float]
-    if real not in found:
-        return found
-    reals = cells if found == [real] * width else [
-        cell for column, form in enumerate(found) if form == real for cell in cells[column::width]
-    ]
-    if not all(map(math.isfinite, reals)):
-        raise ValueError("documents only carry finite reals")
-    return found
-
-
-def _run_text(items: Sequence[Any], inner: str) -> str | None:
-    """JSON texts of a list's items joined by ",\n" + inner, the run in one format call.
-
-    The run is the whole list, or all items but the last when only the last
-    breaks its shape; None if neither is a run (see _same_shape_text).
-    """
-    body = _same_shape_text(items, inner)
-    if body is None and len(items) > _RUN_MIN:
-        body = _same_shape_text(items[:-1], inner)
-        if body is not None:
-            body += ",\n" + inner + _text(items[-1], inner)
-    return body
-
-
-def _same_shape_text(items: Sequence[Any], inner: str) -> str | None:
+def _float_run(items: Sequence[Any], inner: str) -> str | None:
     """JSON texts of a list's items joined by ",\n" + inner, in one format call.
 
-    None unless the items are exact floats, exact ints, or dicts of one
-    non-empty order of str keys that keep one exact float or int type per
-    key.  The first and last items are looked at before the whole run.
+    None unless every item is an exact float; a non-finite one raises
+    ValueError, as on the value-by-value path.
     """
-    first, last = items[0], items[-1]
-    if type(first) is not dict:
-        if type(first) not in _JSON_FORMAT or type(last) is not type(first):
-            return None
-        formats = _column_formats(items, 1, _JSON_FORMAT)
-        if formats is None:
-            return None
-        return (",\n" + inner).join(formats * len(items)) % tuple(items)
-    keys = tuple(first)
-    if (
-        type(last) is not dict
-        or not _JSON_FORMAT.keys() >= {*map(type, first.values()), *map(type, last.values())}
-        or set(map(type, keys)) != {str}  # also rejects {}
-        or set(map(type, items)) != {dict}
-        or set(map(tuple, items)) != {keys}
-    ):
+    if set(map(type, items)) != {float}:
         return None
-    cells = [cell for item in items for cell in item.values()]
-    formats = _column_formats(cells, len(keys), _JSON_FORMAT)
-    if formats is None:
-        return None
-    field = inner + "  "
-    row = "{\n" + ",\n".join(
-        f"{field}{_quote(key).replace('%', '%%')}: {form}" for key, form in zip(keys, formats)
-    ) + "\n" + inner + "}"
-    return (",\n" + inner).join([row] * len(items)) % tuple(cells)
+    if not all(map(math.isfinite, items)):
+        raise ValueError("documents only carry finite reals")
+    return (",\n" + inner).join(["%.17g"] * len(items)) % tuple(items)
 
 
 def _text(value: Any, pad: str) -> str:
@@ -255,7 +184,7 @@ def _text(value: Any, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        body = _run_text(value, inner) if len(value) >= _RUN_MIN else None
+        body = _float_run(value, inner) if len(value) >= _RUN_MIN else None
         if body is None:
             body = (",\n" + inner).join([_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -283,9 +212,6 @@ def json_dumps(doc: Any) -> str:
 
 def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:
     """Comma-separated text; reals carry 12 significant digits."""
-    body = _csv_run_text(rows) if len(rows) >= _RUN_MIN else None
-    if body is not None:
-        return header + "\n" + body + "\n"
     return "\n".join([header, *map(_csv_line, rows)]) + "\n"
 
 
@@ -299,38 +225,6 @@ def _csv_line(row: Sequence[Any]) -> str:
         else:
             cells.append(str(cell))
     return ",".join(cells)
-
-
-def _csv_run_text(rows: Sequence[Sequence[Any]]) -> str | None:
-    """CSV lines of the rows, the run in one format call.
-
-    The run is all rows, or all but the last when only the last breaks its
-    shape; None if neither is a run (see _same_shape_csv).
-    """
-    body = _same_shape_csv(rows)
-    if body is None and len(rows) > _RUN_MIN:
-        body = _same_shape_csv(rows[:-1])
-        if body is not None:
-            body += "\n" + _csv_line(rows[-1])
-    return body
-
-
-def _same_shape_csv(rows: Sequence[Sequence[Any]]) -> str | None:
-    """CSV lines of the rows in one format call; None unless every row has the
-    first row's length and each column holds one exact float or int type."""
-    first, last = rows[0], rows[-1]
-    width = len(first)
-    if (
-        not width
-        or not _CSV_FORMAT.keys() >= {*map(type, first), *map(type, last)}
-        or set(map(len, rows)) != {width}
-    ):
-        return None
-    cells = [cell for row in rows for cell in row]
-    formats = _column_formats(cells, width, _CSV_FORMAT)
-    if formats is None:
-        return None
-    return "\n".join([",".join(formats)] * len(rows)) % tuple(cells)
 
 
 def _flow_cells(flow: FlowMatrix) -> tuple:

@@ -14,6 +14,7 @@ from chainlife import (
     EqualEnergySolution,
     FlowMatrix,
     PerturbedNetwork,
+    StabilityInterval,
     build_cost_series,
     flow_closed_form,
     single_exponent_series,
@@ -29,6 +30,7 @@ from chainlife.documents import (
     parse_network,
     solution_csv,
     solution_document,
+    stability_d_csv,
     stability_q_csv,
     stability_q_document,
     sweep_csv,
@@ -228,7 +230,7 @@ def test_parsed_reals_are_floats_whatever_their_literal():
     assert list(map(type, net.volumes)) == [float] * 3
 
 
-# runs long enough for the one-format path of json_dumps and csv_text
+# lists long enough for the one-format float run of json_dumps
 RUN = documents._RUN_MIN
 
 
@@ -268,8 +270,7 @@ def uniform_runs(draw, reals=run_reals):
     return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
 
 
-# items that break a run's shape when they come last: the run before them
-# is written in one format call and they value by value
+# items that break a run's shape when they come last
 odd_items = st.sampled_from([None, True, "x", 2**70, 0.25, 3, [1.5], {"x": None}, {}])
 
 
@@ -352,7 +353,7 @@ def test_a_non_finite_real_in_a_run_raises_on_both_paths(bad, where):
         (json_dumps, {"flows": flows}),
         (csv_text, "from,to,amount", rows),
         (csv_text, "x", [(x,) for x in floats]),
-        # the same before an odd last item, which leaves the rest a run
+        # the same before an odd last item
         (json_dumps, floats + [None]),
         (json_dumps, {"flows": flows + [{"from": RUN, "to": 0, "amount": None}]}),
         (csv_text, "from,to,amount", rows + [(RUN, 0, "inf")]),
@@ -425,7 +426,7 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
             return result
         monkeypatch.setattr(documents, name, wrapper)
 
-    for name in ("_text", "_run_text", "_flow_cells", "_csv_run_text", "_csv_line"):
+    for name in ("_text", "_float_run", "_flow_cells", "_csv_line"):
         counted(name)
     seen = []
     for n in (100, 1000):
@@ -435,10 +436,11 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
         solution_csv(sol)
         seen.append(sorted(calls))
     # the document, its flows and its node energies; the energies are one
-    # run, and each writer reads the flows' columns once, with no text per flow
+    # float run, and each writer reads the flows' columns once, with no text
+    # or CSV line per flow
     assert seen[0] == seen[1]
     assert seen[0] == sorted(
-        [("_text", True)] * 3 + [("_run_text", True)] + [("_flow_cells", True)] * 2
+        [("_text", True)] * 3 + [("_float_run", True)] + [("_flow_cells", True)] * 2
     )
 
 
@@ -560,36 +562,105 @@ def test_a_non_finite_flow_raises_on_the_column_path(bad, n, lists, node):
                 write(sol)
 
 
-def test_an_odd_last_row_leaves_the_rest_a_run(monkeypatch):
-    # stability-q over every node: the last node's q_max is null (JSON) and
-    # inf (CSV), so its row breaks the shape; the other rows are one run
-    calls = []
-    json_run, csv_run = documents._same_shape_text, documents._same_shape_csv
+# 9-row documents as the one-format run writers of dicts and CSV rows wrote
+# them: stability-q with a NaN interior limit and the last node's null/inf,
+# stability-d and a sweep whose last point lies outside
+STABILITY_Q_JSON = """{
+  "nodes": [
+    {
+      "node": 1,
+      "q_min": 0,
+      "q_max": 1.1428571428571428
+    },
+    {
+      "node": 2,
+      "q_min": 0,
+      "q_max": 1.2857142857142856
+    },
+    {
+      "node": 3,
+      "q_min": 0,
+      "q_max": 1.4285714285714286
+    },
+    {
+      "node": 4,
+      "q_min": 0,
+      "q_max": null
+    },
+    {
+      "node": 5,
+      "q_min": 0,
+      "q_max": 1.7142857142857144
+    },
+    {
+      "node": 6,
+      "q_min": 0,
+      "q_max": 1.8571428571428572
+    },
+    {
+      "node": 7,
+      "q_min": 0,
+      "q_max": 2
+    },
+    {
+      "node": 8,
+      "q_min": 0,
+      "q_max": 2.1428571428571428
+    },
+    {
+      "node": 9,
+      "q_min": 0.16666666666666666,
+      "q_max": null
+    }
+  ],
+  "q_constraints_ok": true,
+  "unit_region": false
+}
+"""
+STABILITY_Q_CSV = """node,q_min,q_max
+1,0,1.14285714286
+2,0,1.28571428571
+3,0,1.42857142857
+4,0,
+5,0,1.71428571429
+6,0,1.85714285714
+7,0,2
+8,0,2.14285714286
+9,0.166666666667,inf
+"""
+STABILITY_D_CSV = """node,env_lo,env_hi,num_lo,num_hi
+1,-0.142857142857,0.111111111111,-0.166666666667,0.125
+2,-0.0714285714286,0.0555555555556,-0.0833333333333,0.0625
+3,-0.047619047619,0.037037037037,-0.0555555555556,0.0416666666667
+4,-0.0357142857143,0.0277777777778,-0.0416666666667,0.03125
+5,-0.0285714285714,0.0222222222222,-0.0333333333333,0.025
+6,-0.0238095238095,0.0185185185185,-0.0277777777778,0.0208333333333
+7,-0.0204081632653,0.015873015873,-0.0238095238095,0.0178571428571
+8,-0.0178571428571,0.0138888888889,-0.0208333333333,0.015625
+9,-0.015873015873,0.0123456790123,-0.0185185185185,0.0138888888889
+"""
+SWEEP_CSV = """param,common_energy,min_flow
+-0.2,2.5,0.1
+-0.15,2.83333333333,0.0857142857143
+-0.1,3.16666666667,0.0714285714286
+-0.05,3.5,0.0571428571429
+0,3.83333333333,0.0428571428571
+0.05,4.16666666667,0.0285714285714
+0.1,4.5,0.0142857142857
+0.15,4.83333333333,0
+0.2,outside,-0.0142857142857
+"""
 
-    def counted(name, write):
-        def wrapper(*args):
-            result = write(*args)
-            calls.append((name, len(args[0]), result is not None))
-            return result
-        return wrapper
 
-    n = 1000
-    rows = [(i, 0.0, 1.0 + i / 7) for i in range(1, n)] + [(n, 0.5, None)]
-    expected = (
-        item_by_item(json_dumps, stability_q_document(rows, True, True)),
-        item_by_item(stability_q_csv, rows),
-    )
-    monkeypatch.setattr(documents, "_same_shape_text", counted("json", json_run))
-    monkeypatch.setattr(documents, "_same_shape_csv", counted("csv", csv_run))
-    assert (json_dumps(stability_q_document(rows, True, True)), stability_q_csv(rows)) == expected
-    assert calls == [
-        ("json", n, False), ("json", n - 1, True), ("csv", n, False), ("csv", n - 1, True)
+def test_nine_row_documents_keep_their_bytes():
+    q_rows = [(i, 0.0, 1.0 + i / 7) for i in range(1, 9)] + [(9, 0.5 / 3, None)]
+    q_rows[3] = (4, 0.0, math.nan)
+    assert json_dumps(stability_q_document(q_rows, True, False)) == STABILITY_Q_JSON
+    assert stability_q_csv(q_rows) == STABILITY_Q_CSV
+    d_rows = [
+        (i, (-1 / (7 * i), 1 / (9 * i)), StabilityInterval(-1 / (6 * i), 1 / (8 * i)))
+        for i in range(1, 10)
     ]
-    # a run of exactly _RUN_MIN before the odd row is not split: the rest is too short
-    calls.clear()
-    short = rows[: RUN - 1] + rows[-1:]
-    assert json_dumps(stability_q_document(short, True, True)) == item_by_item(
-        json_dumps, stability_q_document(short, True, True)
-    )
-    assert stability_q_csv(short) == item_by_item(stability_q_csv, short)
-    assert calls == [("json", RUN, False), ("csv", RUN, False)]
+    assert stability_d_csv(d_rows) == STABILITY_D_CSV
+    sweep_rows = [(-0.2 + 0.05 * k, 2.5 + k / 3, 0.1 - k / 70) for k in range(8)]
+    assert sweep_csv(sweep_rows + [(0.2, None, -1 / 70)]) == SWEEP_CSV
