@@ -113,7 +113,7 @@ def transmission_cost(series: CostSeries, xi: float, xj: float) -> float:
         return 0.0
     try:
         return math.fsum(lam * s**a for lam, a in series.terms)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: fsum of inf and -inf
         raise ChainlifeError(
             f"transmission cost over distance {s:.6g} exceeds the float range"
         ) from None
@@ -123,39 +123,26 @@ def cost_function(series: CostSeries) -> Callable[[float, float], float]:
     """transmission_cost(series, xi, xj) as a function of (xi, xj), bit for bit.
 
     Built once for the many costs of one chain.  With one or two terms the
-    cost is lam1 * s**a1 (+ lam2 * s**a2): one float is its own fsum, and
-    the fsum of two floats is their correctly rounded sum, which is what +
-    returns.  Series of three or more terms, and every result that is not
-    a positive finite float (a zero distance, an overflow, a hand-built
-    series with a negative coefficient), go through transmission_cost.
+    cost is lam1 * s**a1 + lam2 * s**a2: the fsum of two floats is their
+    correctly rounded sum, which is what + returns, and a one-term series
+    gets the second term (0.0, 1.0), whose +0.0 leaves a positive float as
+    it is.  A series of no term or of three or more, and every result that
+    is not a positive finite float (a zero distance, an overflow, a NaN, a
+    hand-built series with a negative coefficient), go through
+    transmission_cost.
     """
     terms, inf = series.terms, math.inf
-    if len(terms) == 1:
-        ((l1, a1),) = terms
+    if not 0 < len(terms) < 3:
+        return lambda xi, xj: transmission_cost(series, xi, xj)
+    (l1, a1), (l2, a2) = terms if len(terms) == 2 else (*terms, (0.0, 1.0))
 
-        def cost(xi: float, xj: float) -> float:
-            s = abs(xi - xj)
-            try:
-                c = l1 * s**a1
-            except OverflowError:
-                c = inf
-            return c if 0.0 < c < inf else transmission_cost(series, xi, xj)
-
-    elif len(terms) == 2:
-        (l1, a1), (l2, a2) = terms
-
-        def cost(xi: float, xj: float) -> float:
-            s = abs(xi - xj)
-            try:
-                c = l1 * s**a1 + l2 * s**a2
-            except OverflowError:
-                c = inf
-            return c if 0.0 < c < inf else transmission_cost(series, xi, xj)
-
-    else:
-
-        def cost(xi: float, xj: float) -> float:
-            return transmission_cost(series, xi, xj)
+    def cost(xi: float, xj: float) -> float:
+        s = abs(xi - xj)
+        try:
+            c = l1 * s**a1 + l2 * s**a2
+        except OverflowError:
+            c = inf
+        return c if 0.0 < c < inf else transmission_cost(series, xi, xj)
 
     return cost
 

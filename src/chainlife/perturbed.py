@@ -387,27 +387,6 @@ def _move_node(
     return direct[i], left[i], left[i + 1]
 
 
-@dataclass(frozen=True, eq=False)
-class _ProbeSums:
-    """The d = 0 relay sums of a chain (see _relay_sums) with their windows on E.
-
-    head[k], for k < ``last``, is the open window (lo, hi) on E inside which
-    every flow component that the forward walk over nodes 1..k fixes is
-    positive (empty, with lo = +inf, if no E makes one positive); tail[k],
-    for k > ``first``, is the window of the components fixed on nodes k..n
-    by the backward walk.  Entries past n are open windows.
-    """
-
-    volumes: Sequence[float]
-    direct: Sequence[float]
-    a: list[float]
-    b: list[float]
-    head: list[tuple[float, float]]
-    c: list[float]
-    e: list[float]
-    tail: list[tuple[float, float]]
-
-
 _OPEN = (-math.inf, math.inf)
 
 
@@ -429,14 +408,30 @@ def _narrow(window: tuple[float, float], *terms: tuple[float, float]) -> tuple[f
     return lo, hi
 
 
-def _probe_sums(
+def _shift_probes(
     volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
-) -> _ProbeSums:
-    """The relay sums that the probes of nodes first..last need, with their windows.
+) -> Callable[[int], Callable[[float, float, float | None], bool]]:
+    """probe(i): an O(1) test of whether the walk's flows stay positive once node i is recosted.
 
-    _relay_sums stops at the same bounds, so a one-node set-up sums that
-    node's two passes and no more.  Each node adds to the window its direct
-    flow and the relay it leaves.
+    The d = 0 relay sums of _relay_sums are summed once for nodes
+    first..last, with their windows on E: head[k], for k < ``last``, is the
+    open window (lo, hi) inside which every flow component that the forward
+    walk over nodes 1..k fixes is positive (empty, with lo = +inf, if no E
+    makes one positive); tail[k], for k > ``first``, is the window of the
+    components fixed on nodes k..n by the backward walk.  Entries past n
+    are open windows; each node adds to them its direct flow and the relay
+    it leaves.  _relay_sums stops at the same bounds, so a one-node set-up
+    sums that node's two passes and no more.
+
+    A move of node i changes only D_i, L_i and L_{i+1}.  The relay
+    q_{i,i-1} = a + b E comes from the forward walk over nodes 1..i-1, and
+    q_{i+2,i+1} = c + e E from the backward walk over nodes n..i+2.  Every
+    flow component but q_{i,0}, q_{i+1,0} and q_{i+1,i} is therefore affine
+    in E with fixed coefficients, and their positivity is one open window
+    lo < E < hi, the head window before node i met with the tail window
+    after node i + 1.  probe(i) returns a test that takes the three new
+    costs, solves for E and checks the window and the three remaining
+    components; a zero division fails it.
     """
     n = len(volumes)
     a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
@@ -449,50 +444,39 @@ def _probe_sums(
     for k in range(n, first + 1, -1):
         flow = (-c[k - 1] * left[k] / direct[k], (1.0 - e[k - 1] * left[k]) / direct[k])
         tail[k] = _narrow(tail[k + 1], flow, (c[k - 1], e[k - 1]))
-    return _ProbeSums(volumes, direct, a, b, head, c, e, tail)
 
+    def probe(i: int) -> Callable[[float, float, float | None], bool]:
+        a_i, b_i, c_i, e_i = a[i - 1], b[i - 1], c[i + 1], e[i + 1]
+        (head_lo, head_hi), (tail_lo, tail_hi) = head[i - 1], tail[i + 2]
+        lo, hi = max(head_lo, tail_lo), min(head_hi, tail_hi)
+        volume = float(volumes[i - 1])
+        if i < n:
+            next_volume, next_direct = float(volumes[i]), direct[i + 1]
 
-def _shift_probe(sums: _ProbeSums, i: int) -> Callable[[float, float, float | None], bool]:
-    """An O(1) test of whether the walk's flows stay positive once node i is recosted.
-
-    A move of node i changes only D_i, L_i and L_{i+1}.  The relay
-    q_{i,i-1} = a + b E comes from the forward walk over nodes 1..i-1, and
-    q_{i+2,i+1} = c + e E from the backward walk over nodes n..i+2 (see
-    _relay_sums).  Every flow component but q_{i,0}, q_{i+1,0} and
-    q_{i+1,i} is therefore affine in E with fixed coefficients, and their
-    positivity is one open window lo < E < hi, the head window before node
-    i met with the tail window after node i + 1 (see _ProbeSums).  The
-    returned test takes the three new costs, solves for E and checks the
-    window and the three remaining components; a zero division fails it.
-    """
-    volumes, n = sums.volumes, len(sums.volumes)
-    a, b, c, e = sums.a[i - 1], sums.b[i - 1], sums.c[i + 1], sums.e[i + 1]
-    (head_lo, head_hi), (tail_lo, tail_hi) = sums.head[i - 1], sums.tail[i + 2]
-    lo, hi = max(head_lo, tail_lo), min(head_hi, tail_hi)
-    volume = float(volumes[i - 1])
-    if i < n:
-        next_volume, next_direct = float(volumes[i]), sums.direct[i + 1]
-
-    def feasible(d_i: float, l_i: float, l_next: float | None) -> bool:
-        try:
-            shrink = 1.0 - l_i / d_i
-            ra = a * shrink - volume  # r_i = q_{i+1,i} = ra + rb E
-            rb = b * shrink + 1.0 / d_i
-            if i == n:
-                energy = -ra / rb
-            else:
-                s_next = 1.0 - l_next / next_direct
-                energy = (c + next_volume - s_next * ra) / (s_next * rb + 1.0 / next_direct - e)
-            if not (lo < energy < hi and (energy - (a + b * energy) * l_i) / d_i > 0.0):
+        def feasible(d_i: float, l_i: float, l_next: float | None) -> bool:
+            try:
+                shrink = 1.0 - l_i / d_i
+                ra = a_i * shrink - volume  # r_i = q_{i+1,i} = ra + rb E
+                rb = b_i * shrink + 1.0 / d_i
+                if i == n:
+                    energy = -ra / rb
+                else:
+                    s_next = 1.0 - l_next / next_direct
+                    energy = (c_i + next_volume - s_next * ra) / (
+                        s_next * rb + 1.0 / next_direct - e_i
+                    )
+                if not (lo < energy < hi and (energy - (a_i + b_i * energy) * l_i) / d_i > 0.0):
+                    return False
+                if i == n:
+                    return True
+                relay = ra + rb * energy
+                return relay > 0.0 and (energy - relay * l_next) / next_direct > 0.0
+            except ZeroDivisionError:
                 return False
-            if i == n:
-                return True
-            relay = ra + rb * energy
-            return relay > 0.0 and (energy - relay * l_next) / next_direct > 0.0
-        except ZeroDivisionError:
-            return False
 
-    return feasible
+        return feasible
+
+    return probe
 
 
 def _bisect(feasible: Callable[[float], bool], end: float) -> tuple[float, float | None]:
@@ -524,9 +508,9 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
 
     The set-up is shared by all nodes: the unshifted chain is costed once,
     walked once at d = 0, where NegativeFlow names the most negative
-    component, and summed once from both ends (see _ProbeSums).  A probe at
-    shift d then recomputes only D_i, L_i and L_{i+1}, the costs node i's
-    move touches, in O(1) (see _shift_probe); those three costs are put
+    component, and summed once from both ends (see _shift_probes).  A probe
+    at shift d then recomputes only D_i, L_i and L_{i+1}, the costs node
+    i's move touches, in O(1); those three costs are put
     back before the next node.  Full walks with their energy-spread check
     run at the last feasible probe of each side.  Should that walk
     disagree, the side is bisected again with a full walk per probe, so the
@@ -563,10 +547,10 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     if not lowest > 0.0:
         worst = _walk_key(flows.index(lowest), net.n)
         raise NegativeFlow(worst, lowest, "solved flow not positive at d = 0")
-    sums = _probe_sums(volumes, direct, left, min(nodes), max(nodes))
+    probes = _shift_probes(volumes, direct, left, min(nodes), max(nodes))
 
     def interval(i: int) -> StabilityInterval:
-        probe = _shift_probe(sums, i)
+        probe = probes(i)
 
         def fast(d: float) -> bool:
             return probe(*_move_node(cost, x, i, d, direct, left))

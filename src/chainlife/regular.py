@@ -88,11 +88,13 @@ def harmonic_flow_a2(i: int, n: int) -> float:
 def check_q_constraints(net: PerturbedNetwork, costs: Costs | None = None) -> bool:
     """Feasibility of the volume vector for the equal-energy construction.
 
-    Requires Q_1 >= 1 and each later volume to exceed its own direct flow,
-    which the prefix network already forces, so that every node adds to the
-    relay stream toward the collector.  Strict inequalities are tested with
-    a 1e-12 slack.  ``costs`` is the chain's costing, perturbed._costs(net),
-    when the caller has it already.
+    Requires Q_1 >= 1 and each later volume Q_i to exceed its own direct
+    flow q_{i,0} of the equal-energy split, so that every node adds to the
+    relay stream toward the collector.  A split whose flows are all positive
+    need not meet it: on n = 3 with cost s**2 and volumes (2, 0.25, 1) every
+    flow is positive, but Q_2 = 0.25 < q_{2,0} = 0.5.  Strict inequalities
+    are tested with a 1e-12 slack.  ``costs`` is the chain's costing,
+    perturbed._costs(net), when the caller has it already.
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False

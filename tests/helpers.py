@@ -79,8 +79,8 @@ def series_for(a: float) -> CostSeries:
 # ---------------------------------------------------------------------------
 # The equal-energy walk on tuple-keyed dicts, costed one fsum at a time, as
 # chainlife.perturbed computed it before its walk moved to flat lists.  The
-# probe windows and the bisection (_probe_sums, _shift_probe, _bisect) are
-# shared; everything that costs, walks, checks or picks a minimum is here.
+# probe windows and the bisection (_shift_probes, _bisect) are shared;
+# everything that costs, walks, checks or picks a minimum is here.
 
 
 def reference_costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
@@ -178,10 +178,10 @@ def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]
     worst = min(q, key=q.__getitem__)
     if not q[worst] > 0.0:
         raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
-    sums = perturbed._probe_sums(volumes, direct, left, min(nodes), max(nodes))
+    probes = perturbed._shift_probes(volumes, direct, left, min(nodes), max(nodes))
 
     def interval(i):
-        probe = perturbed._shift_probe(sums, i)
+        probe = probes(i)
 
         def fast(d):
             return probe(*_reference_move(series, x, i, d, direct, left))

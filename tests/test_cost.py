@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlife import (
@@ -179,6 +179,8 @@ def costed_pairs(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(costed_pairs())
+# both terms overflow, to +inf and -inf, whose fsum raises ValueError
+@example((CostSeries(((2.0, 1.0), (-2.0, 1.0))), [(1.797693134860518e308, 0.0)]))
 def test_cost_function_is_transmission_cost_bit_for_bit(case):
     series, pairs = case
     cost = cost_function(series)
@@ -190,7 +192,9 @@ def test_cost_function_is_transmission_cost_bit_for_bit(case):
 
 def test_cost_function_edge_cases():
     # zero distance, underflow, overflow with its message, a hand-built
-    # negative or zero coefficient, and three terms, as transmission_cost has them
+    # negative or zero coefficient, three terms, and a one-term series at an
+    # infinite or NaN coordinate or with a zero coefficient of either sign,
+    # whose padded second term 0.0 * s is NaN or zero, as transmission_cost has them
     quadratic = single_exponent_series(2.0)
     two = build_cost_series([(0.5, 1.0), (0.5, 40.0)])
     cases = [
@@ -203,6 +207,10 @@ def test_cost_function_edge_cases():
         (CostSeries(((0.0, 2.0), (-0.0, 3.0))), 0.0, 3.0),
         (CostSeries(((2.0, 2.0), (-1.0, 3.0))), 0.0, 3.0),
         (build_cost_series([(0.2, 1.0), (0.3, 2.0), (0.5, 3.0)]), 0.0, 2.5),
+        (quadratic, math.inf, 0.0),
+        (quadratic, math.nan, 0.0),
+        (CostSeries(((0.0, 2.0),)), 0.0, 3.0),
+        (CostSeries(((-0.0, 2.0),)), 0.0, 3.0),
     ]
     outcomes = []
     for series, xi, xj in cases:
@@ -214,3 +222,4 @@ def test_cost_function_edge_cases():
     )
     assert outcomes[3].startswith("ChainlifeError") and outcomes[4].startswith("ChainlifeError")
     assert outcomes[5] == "-4.5" and outcomes[7] == "-9.0"
+    assert outcomes[9:11] == ["inf", "nan"]

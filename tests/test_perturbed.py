@@ -162,7 +162,7 @@ def test_zero_hop_cost_is_singular():
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
         volume_limits(net)
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
-        perturbed._probe_sums(net.volumes, *perturbed._costs(net), 1, 2)
+        perturbed._shift_probes(net.volumes, *perturbed._costs(net), 1, 2)
 
 
 def test_zero_shift_solution_matches_regular_closed_form():
@@ -411,8 +411,7 @@ def test_shift_probe_decides_as_the_full_solve():
         x, cost = net.positions().x, cost_function(net.series)
         for i in range(1, n + 1):
             direct, left = perturbed._costs(net)
-            sums = perturbed._probe_sums(volumes, direct, left, i, i)
-            probe = perturbed._shift_probe(sums, i)
+            probe = perturbed._shift_probes(volumes, direct, left, i, i)(i)
             for d in rng.uniform(-0.999, 0.999, size=10):
                 shifts = [0.0] * n
                 shifts[i - 1] = float(d)
@@ -447,11 +446,11 @@ def test_a_term_no_energy_makes_positive_empties_the_window():
     # Q_1 L_2 / D_2 underflows, so the direct flow q_{2,0} is the constant 0
     net = PerturbedNetwork(4, (0.0,) * 4, (5e-324, 1.0, 1.0, 1.0), single_exponent_series(2.0))
     direct, left = perturbed._costs(net)
-    sums = perturbed._probe_sums(net.volumes, direct, left, 1, 4)
-    assert sums.head[2][0] == math.inf
+    probes = perturbed._shift_probes(net.volumes, direct, left, 1, 4)
     assert solve_equal_energy(net, check_flows=False).flow.min_entry() == 0.0
-    assert not perturbed._shift_probe(sums, 3)(direct[3], left[3], left[4])
-    assert not perturbed._shift_probe(sums, 4)(direct[4], left[4], None)
+    # nodes 3 and 4 read the empty head window of nodes 1..2 at their own d = 0 costs
+    assert not probes(3)(direct[3], left[3], left[4])
+    assert not probes(4)(direct[4], left[4], None)
 
 
 def _counted_walks(monkeypatch) -> list[int]:
@@ -470,7 +469,7 @@ def test_numeric_interval_falls_back_when_the_endpoint_walk_fails(monkeypatch):
     # a probe that calls every shift feasible ends each side at the bracket
     # end, whose full walk fails where the flow turns negative first: that
     # side is bisected again with full walks, to the reference's endpoints
-    monkeypatch.setattr(perturbed, "_shift_probe", lambda *args: lambda *costs: True)
+    monkeypatch.setattr(perturbed, "_shift_probes", lambda *args: lambda i: lambda *costs: True)
     calls = _counted_walks(monkeypatch)
     for n, a, i in ((3, 1.0, 1), (4, 2.0, 2), (4, 2.0, 4), (6, 3.0, 3)):
         net = unit_perturbed(n, a)
