@@ -27,10 +27,11 @@ from .errors import (
     NegativeFlow,
 )
 from .cost import CostSeries, series_to_terms, single_exponent_series, transmission_cost
-from .oracle import DEFAULT_VERIFY_TOL, certify, formulate, solve as lp_solve
+from .oracle import DEFAULT_VERIFY_TOL, LpInstance, certifier, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
     _costs,
+    _relay_sums,
     numeric_d_intervals,
     solve_equal_energy,
     stability_bounds_d,
@@ -208,12 +209,14 @@ def _cmd_stability_q(args) -> int:
     net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
     # a limit that is not finite goes to the documents as NaN (see stability_q_csv)
-    costs = _costs(net)  # one costing for the limits and the q-constraint check
-    limits = [math.nan if limit is None else limit for limit in volume_limits(net, costs)]
+    # one costing and one relay summation for the limits and the q-constraint check
+    costs = _costs(net)
+    sums = _relay_sums(net.volumes, *costs, 0, net.n + 1)
+    limits = [math.nan if limit is None else limit for limit in volume_limits(net, costs, sums)]
     rows = [
         (i, limits[i - 1], None) if i == net.n else (i, 0.0, limits[i - 1]) for i in nodes
     ]
-    ok = check_q_constraints(net, costs)
+    ok = check_q_constraints(net, costs, sums)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None
     if args.format == "csv":
         _write(args, docs.stability_q_csv(rows))
@@ -290,41 +293,59 @@ def _suite_volumes(volumes, n: int) -> list[tuple[float, ...]]:
     for k, vec in enumerate(volumes):
         if not isinstance(vec, list) or len(vec) != n:
             raise ConfigError(f"suite volume vectors must have length n={n}")
-        q = tuple(docs._real(v, f"suite volumes[{k}][{m}]") for m, v in enumerate(vec))
+        q = docs._reals(vec, f"suite volumes[{k}]")
         if min(q) <= 0.0:
             raise ConfigError(f"suite volumes[{k}] must be positive")
         cases.append(q)
     return cases
 
 
-def _verify_instance(n: int, series: CostSeries, volumes: tuple[float, ...]) -> dict:
-    """One verify row; ``lp`` is the certified dual bound inside the region."""
-    net = RegularNetwork(n, volumes, series)
-    inst = formulate(net)
-    head = {"n": n, "series": series_to_terms(series), "volumes": [float(v) for v in volumes]}
-    try:
-        sol = flow_closed_form(net)
-    except NegativeFlow:
-        # no equal-energy split to certify: report the checked HiGHS optimum
-        lp = lp_solve(inst).value
-        return {**head, "lp": lp, "closed_form": None, "gap": None, "status": "outside_region"}
-    cert = certify(inst)
-    gap = abs(sol.common_energy - cert.bound)
-    optimal = gap <= DEFAULT_VERIFY_TOL and cert.slack <= DEFAULT_VERIFY_TOL
-    if not optimal:
-        cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in series.terms)
-        print(
-            f"error: no optimality certificate for n={n}, cost {cost}: arc {cert.arc} "
-            f"has dual slack {cert.slack:.6g}, |closed form - bound| = {gap:.6g}",
-            file=sys.stderr,
-        )
-    return {
-        **head,
-        "lp": cert.bound,
-        "closed_form": sol.common_energy,
-        "gap": gap,
-        "status": "optimal" if optimal else "suboptimal",
-    }
+def _verify_chain(n: int, series: CostSeries, cases: list[tuple[float, ...]]) -> list[dict]:
+    """The verify rows of one chain, one per volume vector, in order.
+
+    The chain is costed, its LP matrix built and, at the first vector inside
+    the volume region, its certificate found once; each vector then pays its
+    O(n) walk and its bound.  ``lp`` is the certified dual bound inside the
+    region and the checked HiGHS optimum outside it.
+    """
+    chain = RegularNetwork(n, cases[0], series)
+    matrix = formulate(chain).costs
+    costs = _costs(chain)
+    terms = series_to_terms(series)
+    prove = None
+    rows = []
+    for q in cases:
+        net = chain if q is cases[0] else RegularNetwork(n, q, series)
+        head = {"n": n, "series": terms, "volumes": list(q)}
+        try:
+            sol = flow_closed_form(net, costs=costs)
+        except NegativeFlow:
+            # no equal-energy split to certify: report the checked HiGHS optimum
+            lp = lp_solve(LpInstance(q, matrix)).value
+            rows.append(
+                {**head, "lp": lp, "closed_form": None, "gap": None, "status": "outside_region"}
+            )
+            continue
+        if prove is None:
+            prove = certifier(matrix)
+        cert = prove(q)
+        gap = abs(sol.common_energy - cert.bound)
+        optimal = gap <= DEFAULT_VERIFY_TOL and cert.slack <= DEFAULT_VERIFY_TOL
+        if not optimal:
+            cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in series.terms)
+            print(
+                f"error: no optimality certificate for n={n}, cost {cost}: arc {cert.arc} "
+                f"has dual slack {cert.slack:.6g}, |closed form - bound| = {gap:.6g}",
+                file=sys.stderr,
+            )
+        rows.append({
+            **head,
+            "lp": cert.bound,
+            "closed_form": sol.common_energy,
+            "gap": gap,
+            "status": "optimal" if optimal else "suboptimal",
+        })
+    return rows
 
 
 def _cmd_verify(args) -> int:
@@ -345,12 +366,14 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed) if draws else None
     rows = []
     for n in n_values:
+        vectors = None  # parsed once per n, after the first exponent's check
         for k, a in enumerate(exponents):
             series = _suite_series(a, k, n)
-            cases = _suite_volumes(suite["volumes"], n)
-            cases += [_random_unit_region_volumes(rng, n) for _ in range(draws)]
-            for q in cases:
-                rows.append(_verify_instance(n, series, q))
+            if vectors is None:
+                vectors = _suite_volumes(suite["volumes"], n)
+            cases = vectors + [_random_unit_region_volumes(rng, n) for _ in range(draws)]
+            if cases:
+                rows += _verify_chain(n, series, cases)
     if args.format == "csv":
         _write(args, docs.verify_csv(rows))
     else:

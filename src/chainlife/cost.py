@@ -56,11 +56,13 @@ class Positions:
         """Unit-spaced chain: node i at coordinate i."""
         if n < 1:
             raise ValueError("need at least one node")
-        return cls(tuple(float(k) for k in range(n + 1)))
+        return cls(tuple(map(float, range(n + 1))))
 
     @classmethod
     def from_shifts(cls, shifts: Sequence[float]) -> "Positions":
         """Chain with node i at i - shifts[i-1]; positive shifts move toward the collector."""
+        if shifts and not any(shifts):  # i - 0.0 is i: the regular chain, no shift to check
+            return cls.regular(len(shifts))
         for k, d in enumerate(shifts, start=1):
             if not -1.0 < d < 1.0:
                 raise ValueError(f"shift d_{k} = {d} outside (-1, 1)")

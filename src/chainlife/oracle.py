@@ -5,9 +5,10 @@ module states that claim as a linear program over every directed arc, held as
 its arc-cost matrix, with t bounding every node's energy.  Any dual-feasible point
 bounds the optimum from below, so a bound equal to a feasible flow's worst
 energy, with no violated arc, is a proof of optimality; :func:`check_dual`
-judges a dual point that way.  :func:`certify` builds the point in closed
+judges a dual point that way.  :func:`certifier` builds the point in closed
 form on the chain support, an O(n^2) proof that ``chainlife verify`` runs
-inside the volume region.
+once per chain inside the volume region: the point and its arc checks
+involve the costs alone, so only the bound changes with the volumes.
 
 Outside the region there is no split to certify.  :func:`solve` hands the LP
 to HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018), shipped with scipy,
@@ -28,6 +29,8 @@ from .errors import NumericalStall
 from .validate import FlowMatrix, check_conservation
 
 if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
     import numpy as np
 
 DEFAULT_VERIFY_TOL = 1e-7
@@ -83,8 +86,8 @@ def formulate(net) -> LpInstance:
     return LpInstance(tuple(float(q) for q in net.volumes), costs)
 
 
-def certify(inst: LpInstance) -> Certificate:
-    """Optimality certificate for the equal-energy split, from LP duality.
+def certifier(costs: np.ndarray) -> Callable[[Sequence[float]], Certificate]:
+    """The optimality certificate of the equal-energy split, for any volumes.
 
     The dual of  min t  subject to conservation, node energy <= t and
     flows >= 0  is  max sum_i Q_i pi_i  over potentials pi (pi_0 = 0) and
@@ -96,16 +99,20 @@ def certify(inst: LpInstance) -> Certificate:
     The recursion runs on the potentials, which stay moderate where the
     multipliers mu_i = pi_i / D_i would underflow at large exponents.
 
-    By weak duality (Chang and Tassiulas, IEEE/ACM ToN 12(4), 2004) the
-    bound is at most the LP optimum when the worst slack is not positive,
-    so a bound equal to a feasible flow's worst energy proves that flow
-    optimal.  When some hop to the left neighbour costs at least the direct
-    arc (a cost series that is not superadditive), no nonnegative multiplier
-    exists: the certificate reports infinite slack on that hop and bound 0.
+    Neither the point nor its feasibility involves Q: only the objective
+    does.  So the point, its scaling and its worst arc are found once per
+    cost matrix, and the returned function prices each volume vector's
+    bound in O(n); this is the volume region U(Q^0) in dual form.  By weak
+    duality (Chang and Tassiulas, IEEE/ACM ToN 12(4), 2004) the bound is at
+    most the LP optimum when the worst slack is not positive, so a bound
+    equal to a feasible flow's worst energy proves that flow optimal.  When
+    some hop to the left neighbour costs at least the direct arc (a cost
+    series that is not superadditive), no nonnegative multiplier exists:
+    every certificate reports infinite slack on that hop and bound 0.
     """
     import numpy as np
 
-    n, costs = len(inst.volumes), inst.costs
+    n = costs.shape[0] - 1
     direct = costs[1:, 0]
     hop = np.arange(2, n + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -115,8 +122,30 @@ def certify(inst: LpInstance) -> Certificate:
     broken = np.flatnonzero(~(np.isfinite(pi) & np.isfinite(mu) & (mu >= 0.0)))
     if broken.size:
         i = int(broken[0])
-        return Certificate(0.0, math.inf, (i, i - 1))
-    return check_dual(inst, pi, mu)
+        refuted = Certificate(0.0, math.inf, (i, i - 1))
+        return lambda volumes: refuted
+    potentials, slack, arc = _judge(costs, pi, mu)
+    return lambda volumes: Certificate(float(np.dot(volumes, potentials)), slack, arc)
+
+
+def certify(inst: LpInstance) -> Certificate:
+    """The certificate of one instance: :func:`certifier` at its volumes."""
+    return certifier(inst.costs)(inst.volumes)
+
+
+def _judge(
+    costs: np.ndarray, pi: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """The scaled potentials of nodes 1..n, the worst arc slack and its arc; see check_dual."""
+    import numpy as np
+
+    total = mu.sum()
+    pi = pi / total
+    mu = mu / total
+    slack = pi[1:, None] - pi - mu[1:, None] * costs[1:]
+    np.fill_diagonal(slack[:, 1:], -math.inf)
+    i, j = np.unravel_index(np.argmax(slack), slack.shape)
+    return pi[1:], float(slack[i, j]), (int(i) + 1, int(j))
 
 
 def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
@@ -131,14 +160,8 @@ def check_dual(inst: LpInstance, pi: np.ndarray, mu: np.ndarray) -> Certificate:
     """
     import numpy as np
 
-    total = mu.sum()
-    pi = pi / total
-    mu = mu / total
-    slack = pi[1:, None] - pi - mu[1:, None] * inst.costs[1:]
-    np.fill_diagonal(slack[:, 1:], -math.inf)
-    i, j = np.unravel_index(np.argmax(slack), slack.shape)
-    bound = float(np.dot(inst.volumes, pi[1:]))
-    return Certificate(bound, float(slack[i, j]), (int(i) + 1, int(j)))
+    potentials, slack, arc = _judge(inst.costs, pi, mu)
+    return Certificate(float(np.dot(inst.volumes, potentials)), slack, arc)
 
 
 def solve(inst: LpInstance) -> LpSolution:

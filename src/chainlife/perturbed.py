@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 BISECTION_TOL = 1e-10
 BRACKET_MARGIN = 1e-6
 
+# a chain's costing as _costs returns it: D_i and L_i by node
+Costs = tuple[list[float], list[float]]
+
 
 @dataclass(frozen=True)
 class PerturbedNetwork:
@@ -90,7 +93,7 @@ class StabilityInterval:
     hi: float
 
 
-def _costs(net: PerturbedNetwork) -> tuple[list[float], list[float]]:
+def _costs(net: PerturbedNetwork) -> Costs:
     """Node i's costs to the collector, direct[i], and to node i - 1, left[i].
 
     Index 0 is unused.  A gap x_i - x_{i-1} equal to the one before reuses
@@ -161,11 +164,7 @@ def _equal_energy_flows(
     n = len(volumes)
     a, b, *_ = _relay_sums(volumes, direct, left, n, n + 1)
     energy = -a[n] / b[n]  # b_n >= 1 / D_n > 0, or NaN, for a nonnegative cost
-    sent = [0.0] * (n + 1)
-    relay = 0.0
-    for i in range(1, n + 1):
-        sent[i] = flow = (energy - relay * left[i]) / direct[i]
-        relay += flow - float(volumes[i - 1])
+    sent = _direct_flows(volumes, direct, left, energy)
     # the relays again, summed from the far end where they are small, so
     # that each keeps its relative precision; node 1 sends on all it holds
     relays = [0.0] * (n + 1)
@@ -175,6 +174,22 @@ def _equal_energy_flows(
         relays[i] = relay
     sent[1] = float(volumes[0]) + relay
     return sent, relays, energy
+
+
+def _direct_flows(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], energy: float
+) -> list[float]:
+    """sent[i] = q_{i,0} = (E - q_{i,i-1} L_i) / D_i for i = 1..n at common energy E.
+
+    One walk outward from node 1, summing the relay q_{i,i-1} as it goes;
+    index 0 is unused and zero.
+    """
+    sent = [0.0] * (len(volumes) + 1)
+    relay = 0.0
+    for i in range(1, len(volumes) + 1):
+        sent[i] = flow = (energy - relay * left[i]) / direct[i]
+        relay += flow - float(volumes[i - 1])
+    return sent
 
 
 def _walk_order(sent: list[float], relays: list[float]) -> list[float]:
@@ -263,7 +278,9 @@ def system_determinant(net: PerturbedNetwork) -> float:
     return float(np.linalg.det(assemble_system(net).m))
 
 
-def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> EqualEnergySolution:
+def solve_equal_energy(
+    net: PerturbedNetwork, check_flows: bool = True, costs: Costs | None = None
+) -> EqualEnergySolution:
     """Solve the balance equations and package the equal-energy flow.
 
     The one solve for every chain, regular or shifted: the chain's costs,
@@ -273,9 +290,10 @@ def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> Equal
     unique solution but some component is negative and the flow no longer
     solves the minimax problem.  With ``check_flows`` set (the default) that
     situation raises NegativeFlow; disabling the check returns the signed
-    solution for boundary exploration.
+    solution for boundary exploration.  ``costs`` is the chain's costing,
+    _costs(net), when the caller has it already.
     """
-    direct, left = _costs(net)
+    direct, left = costs or _costs(net)
     sent, relays, energy = _equal_energy_flows(net.volumes, direct, left)
     return _equal_energy_solution(sent, relays, energy, direct, left, check_flows)
 

@@ -17,17 +17,16 @@ from typing import Sequence
 from .cost import CostSeries, unit_hop_costs
 from .errors import DegenerateCoefficient, IndexOutOfRange
 from .perturbed import (
+    Costs,
     PerturbedNetwork,
     _costs,
+    _direct_flows,
     _equal_energy_flows,
     _relay_sums,
     solve_equal_energy,
 )
 
 Q_CONSTRAINT_TOL = 1e-12
-
-# a chain's costing as perturbed._costs returns it: D_i and L_i by node
-Costs = tuple[list[float], list[float]]
 
 
 def RegularNetwork(n: int, volumes: tuple[float, ...], series: CostSeries) -> PerturbedNetwork:
@@ -85,7 +84,9 @@ def harmonic_flow_a2(i: int, n: int) -> float:
     return (i - harmonic) / (i * (i - 1))
 
 
-def check_q_constraints(net: PerturbedNetwork, costs: Costs | None = None) -> bool:
+def check_q_constraints(
+    net: PerturbedNetwork, costs: Costs | None = None, sums: tuple[list[float], ...] | None = None
+) -> bool:
     """Feasibility of the volume vector for the equal-energy construction.
 
     Requires Q_1 >= 1 and each later volume Q_i to exceed its own direct
@@ -94,11 +95,16 @@ def check_q_constraints(net: PerturbedNetwork, costs: Costs | None = None) -> bo
     need not meet it: on n = 3 with cost s**2 and volumes (2, 0.25, 1) every
     flow is positive, but Q_2 = 0.25 < q_{2,0} = 0.5.  Strict inequalities
     are tested with a 1e-12 slack.  ``costs`` is the chain's costing,
-    perturbed._costs(net), when the caller has it already.
+    perturbed._costs(net), and ``sums`` its relay sums,
+    perturbed._relay_sums(volumes, *costs, 0, n + 1), when the caller has
+    them already; the direct flows are the solve's, from the forward sums.
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    sent, _, _ = _equal_energy_flows(net.volumes, *(costs or _costs(net)))
+    n = net.n
+    direct, left = costs or _costs(net)
+    a, b, *_ = sums or _relay_sums(net.volumes, direct, left, n, n + 1)
+    sent = _direct_flows(net.volumes, direct, left, -a[n] / b[n])
     return all(q > flow - Q_CONSTRAINT_TOL for q, flow in zip(net.volumes[1:], sent[2:]))
 
 
@@ -106,7 +112,9 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def volume_limits(net: PerturbedNetwork, costs: Costs | None = None) -> tuple[float | None, ...]:
+def volume_limits(
+    net: PerturbedNetwork, costs: Costs | None = None, sums: tuple[list[float], ...] | None = None
+) -> tuple[float | None, ...]:
     """Q_i^max of every node i < N and Q_N^min, from one costing and the relay sums.
 
     Entry i - 1 is node i's limit with the other volumes fixed, None where
@@ -120,14 +128,15 @@ def volume_limits(net: PerturbedNetwork, costs: Costs | None = None) -> tuple[fl
     chain of their own and Q_N^min = E_{N-1} / D_N with
     E_{N-1} = -a_{N-1} / b_{N-1}.  Neither form contains the volume it
     solves for, so neither cancels however far that volume is from it.
-    ``costs`` is the chain's costing, as in check_q_constraints.
+    ``costs`` and ``sums`` are the chain's costing and relay sums, as in
+    check_q_constraints.
     """
     n = net.n
     if n == 1:
         return (0.0,)
     direct, left = costs or _costs(net)
     volumes = [float(q) for q in net.volumes]
-    a, b, c, e, s = _relay_sums(volumes, direct, left, 0, n + 1)
+    a, b, c, e, s = sums or _relay_sums(volumes, direct, left, 0, n + 1)
     values: list[float | None] = [None] * n
     values[n - 1] = _finite(-a[n - 1] / b[n - 1] / direct[n])
     suffix, tail = 1.0, 0.0  # P_i and T_i, from i = N down

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, diagnostics, output stability."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainlife
 from chainlife import (
@@ -15,6 +19,7 @@ from chainlife import (
     RegularNetwork,
     build_cost_series,
     cli,
+    flow_closed_form,
     node_energy_closed_form,
     numeric_d_interval,
     oracle,
@@ -24,7 +29,7 @@ from chainlife import (
 )
 from chainlife import documents as docs
 from chainlife.cli import main
-from chainlife.errors import ConfigError
+from chainlife.errors import ChainlifeError, ConfigError, NegativeFlow
 from chainlife.regular import raw_flows
 from chainlife.validate import FLOW_ZERO_TOL
 from chainlife.cost import CostSeries, series_to_terms
@@ -600,6 +605,118 @@ def test_verify_is_byte_stable(write_config, tmp_path):
     assert main(["verify", "--input", suite, "--seed", "11", "--output", str(first)]) == 0
     assert main(["verify", "--input", suite, "--seed", "11", "--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def _verify_row_by_row(n, series, vectors, draws, seed, fmt) -> tuple[int, str, list[str]]:
+    """rc, stdout and stderr lines of verify built one volume vector at a time.
+
+    Each vector gets its own network, LP matrix and certificate (or HiGHS
+    solve): the reference for verify's per-chain sharing.
+    """
+    rng = np.random.default_rng(seed)
+    tol = oracle.DEFAULT_VERIFY_TOL
+    rows, err = [], []
+    try:
+        for one in series:
+            for q in vectors + [cli._random_unit_region_volumes(rng, n) for _ in range(draws)]:
+                net = RegularNetwork(n, q, one)
+                inst = oracle.formulate(net)
+                head = {"n": n, "series": series_to_terms(one), "volumes": list(q)}
+                try:
+                    sol = flow_closed_form(net)
+                except NegativeFlow:
+                    rows.append({**head, "lp": oracle.solve(inst).value, "closed_form": None,
+                                 "gap": None, "status": "outside_region"})
+                    continue
+                cert = oracle.certify(inst)
+                gap = abs(sol.common_energy - cert.bound)
+                optimal = gap <= tol and cert.slack <= tol
+                if not optimal:
+                    cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in one.terms)
+                    err.append(
+                        f"error: no optimality certificate for n={n}, cost {cost}: arc "
+                        f"{cert.arc} has dual slack {cert.slack:.6g}, |closed form - bound| "
+                        f"= {gap:.6g}"
+                    )
+                rows.append({**head, "lp": cert.bound, "closed_form": sol.common_energy,
+                             "gap": gap, "status": "optimal" if optimal else "suboptimal"})
+    except ChainlifeError as exc:
+        return (2 if isinstance(exc, NegativeFlow) else 3), "", err + [f"error: {exc}"]
+    if fmt == "csv":
+        out = docs.verify_csv(rows)
+    else:
+        out = docs.json_dumps(docs.verify_document(rows, tol))
+    return (0 if all(row["status"] == "optimal" for row in rows) else 3), out, err
+
+
+# sqrt(s) and a flat cost bypass validation: the first certificate has a
+# violated arc, the second no nonnegative multiplier (infinite slack)
+_UNPROVABLE = (CostSeries(((1.0, 0.5),)), CostSeries(((1.0, 0.0),)))
+
+
+@st.composite
+def verify_suites(draw):
+    """One chain length, its series and volume vectors (some outside U), draws and seed."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 30))
+    series = [random_series(rng, max_terms=2) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        series.append(_UNPROVABLE[int(rng.integers(2))])
+    count = draw(st.integers(1, 5))
+    draws = draw(st.integers(0, min(2, count - 1)))
+    vectors = [(1.0,) * n]  # inside U for every series here
+    for _ in range(count - draws - 1):
+        q = unit_region_volumes(rng, n)
+        if rng.random() < 0.3:  # a last volume below its minimum leaves U
+            q = q[:-1] + (0.01,)
+        vectors.append(q)
+    return n, series, vectors, draws, seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(suite=verify_suites(), fmt=st.sampled_from(["json", "csv"]))
+def test_verify_shares_each_chain_and_matches_the_row_by_row_proof(tmp_path_factory, suite, fmt):
+    n, series, vectors, draws, seed = suite
+    path = tmp_path_factory.mktemp("suite") / "suite.json"
+    path.write_text(json.dumps({
+        "n_values": [n], "exponents": list(range(len(series))),
+        "volumes": [list(q) for q in vectors], "random_q": draws,
+    }))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "single_exponent_series", lambda a: series[int(a)])  # by index
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--input", str(path), "--format", fmt, "--seed", str(seed)])
+    assert (rc, out.getvalue(), err.getvalue().splitlines()) == _verify_row_by_row(
+        n, series, vectors, draws, seed, fmt
+    )
+
+
+def test_verify_builds_one_lp_matrix_per_chain(write_config, capsys, monkeypatch):
+    calls = {"formulate": 0, "lp_solve": 0, "certifier": 0, "_suite_volumes": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    suite = write_config("suite.json", {
+        "n_values": [4, 4], "exponents": [1.5, 2.0],
+        "volumes": [[1.0] * 4, [1.2, 1.1, 1.3, 1.0], [1.0, 1.0, 1.0, 0.01]], "random_q": 0,
+    })
+    assert main(["verify", "--input", suite]) == 3
+    rows = json.loads(capsys.readouterr().out)["instances"]
+    assert [row["status"] for row in rows] == ["optimal", "optimal", "outside_region"] * 4
+    # 12 rows: one matrix and one dual point per (n, exponent), HiGHS per
+    # outside row, the volume vectors parsed once per n
+    assert calls == {"formulate": 4, "lp_solve": 4, "certifier": 4, "_suite_volumes": 2}
 
 
 def test_sweep_volume_grid(write_config, capsys):

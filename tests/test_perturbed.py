@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +61,44 @@ def test_network_validation():
         PerturbedNetwork(2, (0.0, 0.0), (1.0, -1.0), series)
     with pytest.raises(ValueError):
         PerturbedNetwork(2, (0.0,), (1.0, 1.0), series)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s: PerturbedNetwork(4, (0.0, 0.5, 1.5, -2.0), (1.0,) * 4, s),
+         "shift d_3 = 1.5 outside (-1, 1)"),
+        (lambda s: PerturbedNetwork(4, (0.0, 0.5, math.nan, 1.0), (1.0,) * 4, s),
+         "shift d_3 = nan outside (-1, 1)"),
+        (lambda s: PerturbedNetwork(4, (0, 0, 1, 0), (1.0,) * 4, s),
+         "shift d_3 = 1 outside (-1, 1)"),
+        (lambda s: PerturbedNetwork(4, (0.0, -0.9, 0.95, 0.0), (1.0,) * 4, s),
+         "coordinates must increase strictly (index 3)"),
+        (lambda s: Positions((0.0, 1.0, 2.0, 2.0)), "(index 3)"),
+        (lambda s: Positions((0, 1, 3, 2)), "(index 3)"),
+        (lambda s: Positions((0.0, 1.0, math.nan, 3.0)), "(index 2)"),
+        (lambda s: PerturbedNetwork(4, (0.0,) * 4, (1.0, 1.0, 0.0, -1.0), s),
+         "volume Q_3 = 0.0 must be positive"),
+        (lambda s: PerturbedNetwork(4, (0.0,) * 4, (1.0, 2.0, math.nan, 1.0), s),
+         "volume Q_3 = nan must be positive"),
+        (lambda s: PerturbedNetwork(4, (0.0,) * 4, (1, 1, 0, 1), s),
+         "volume Q_3 = 0 must be positive"),
+    ],
+    ids=["shift", "shift-nan", "shift-int", "coordinate", "coordinate-tie", "coordinate-int",
+         "coordinate-nan", "volume", "volume-nan", "volume-int"],
+)
+def test_network_errors_name_the_first_offender(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(single_exponent_series(2.0))
+
+
+def test_chain_coordinates_are_i_minus_the_shift():
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 50):
+        shifts = tuple(float(d) for d in rng.uniform(-0.45, 0.45, size=n))
+        for given in (shifts, tuple(Fraction(d) for d in shifts)):
+            x = PerturbedNetwork(n, given, (1.0,) * n, single_exponent_series(2.0)).positions().x
+            assert x == (0.0,) + tuple((k + 1) - float(d) for k, d in enumerate(shifts))
 
 
 def test_system_layout_two_nodes_linear_cost():

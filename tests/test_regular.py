@@ -28,8 +28,8 @@ from chainlife import (
     unit_hop_costs,
     volume_limits,
 )
-from chainlife.perturbed import _costs
-from chainlife.regular import _closed_form_energy
+from chainlife.perturbed import _costs, _equal_energy_flows, _relay_sums
+from chainlife.regular import Q_CONSTRAINT_TOL, _closed_form_energy
 
 from helpers import random_positive_volumes, random_series, unit_region_volumes
 
@@ -119,6 +119,31 @@ def test_q_constraints_gate():
     assert not check_q_constraints(RegularNetwork(2, (0.9, 1.0), series))
     assert not check_q_constraints(RegularNetwork(2, (1.0, 0.2), series))
     assert check_q_constraints(RegularNetwork(2, (1.0, 0.3), series))
+
+
+def test_q_constraints_and_limits_from_one_relay_summation():
+    # stability-q sums the relays once for both; the forward sums a, b that
+    # the limits need are the solve's, so the direct flows are the solve's too
+    rng = np.random.default_rng(2027)
+    seen = set()
+    for _ in range(80):
+        n = int(rng.integers(1, 40))
+        volumes = random_positive_volumes(rng, n)
+        if rng.random() < 0.7:
+            volumes = (1.0 + float(rng.random()),) + volumes[1:]
+        net = RegularNetwork(n, volumes, random_series(rng, max_terms=2))
+        costs = _costs(net)
+        sums = _relay_sums(volumes, *costs, 0, n + 1)
+        assert sums[:2] == _relay_sums(volumes, *costs, n, n + 1)[:2]
+        sent, _, _ = _equal_energy_flows(volumes, *costs)
+        expected = not volumes[0] < 1.0 - Q_CONSTRAINT_TOL and all(
+            q > flow - Q_CONSTRAINT_TOL for q, flow in zip(volumes[1:], sent[2:])
+        )
+        assert check_q_constraints(net) is expected
+        assert check_q_constraints(net, costs, sums) is expected
+        assert volume_limits(net, costs, sums) == volume_limits(net)
+        seen.add(expected)
+    assert seen == {False, True}
 
 
 def test_far_node_minimum_volume():
