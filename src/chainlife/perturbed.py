@@ -529,10 +529,9 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     component, and summed once from both ends (see _shift_probes).  A probe
     at shift d then recomputes only D_i, L_i and L_{i+1}, the costs node
     i's move touches, in O(1); those three costs are put
-    back before the next node.  Full walks with their energy-spread check
-    run at the last feasible probe of each side.  Should that walk
-    disagree, the side is bisected again with a full walk per probe, so the
-    endpoints are always those of full-walk probes.
+    back before the next node.  The probe alone decides every shift: the
+    d = 0 walk, with its energy-spread check, is the only walk, so all
+    nodes cost O(n) plus O(1) per probe.
     """
     shifted = [k for k, d in enumerate(net.shifts, start=1) if d != 0.0]
     for i in nodes:
@@ -547,20 +546,13 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series) if shifted else net
     direct, left = _costs(template)
     x, cost, volumes = template.positions().x, cost_function(net.series), net.volumes
-
-    def walk() -> list[float] | None:
-        """The walk's signed flows in its order; None where it is ill-conditioned."""
-        try:
-            sent, relays, _ = _equal_energy_flows(volumes, direct, left)
-            _checked_energies(sent, relays, direct, left)
-        except SingularMatrix:  # an ill-conditioned walk counts as infeasible
-            return None
-        # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
-        return _walk_order(sent, relays)
-
-    flows = walk()
-    if flows is None:
-        raise NegativeFlow((nodes[0], 0), -math.inf, "solved flow not positive at d = 0")
+    try:
+        sent, relays, _ = _equal_energy_flows(volumes, direct, left)
+        _checked_energies(sent, relays, direct, left)
+    except SingularMatrix:  # an ill-conditioned walk counts as infeasible
+        raise NegativeFlow((nodes[0], 0), -math.inf, "solved flow not positive at d = 0") from None
+    # signed: FlowMatrix's clamp of [-1e-9, 0) to 0 cannot change a > 0 test
+    flows = _walk_order(sent, relays)
     lowest = min(flows)
     if not lowest > 0.0:
         worst = _walk_key(flows.index(lowest), net.n)
@@ -570,18 +562,11 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     def interval(i: int) -> StabilityInterval:
         probe = probes(i)
 
-        def fast(d: float) -> bool:
+        def feasible(d: float) -> bool:
             return probe(*_move_node(cost, x, i, d, direct, left))
 
-        def full(d: float) -> bool:
-            _move_node(cost, x, i, d, direct, left)
-            flows = walk()
-            return flows is not None and min(flows) > 0.0
-
         def boundary(end: float, limit: float) -> float:
-            good, edge = _bisect(fast, end)
-            if not full(good):
-                good, edge = _bisect(full, end)
+            edge = _bisect(feasible, end)[1]
             return limit if edge is None else edge
 
         return StabilityInterval(

@@ -183,17 +183,18 @@ def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]
     def interval(i):
         probe = probes(i)
 
-        def fast(d):
+        def feasible(d):
             return probe(*_reference_move(series, x, i, d, direct, left))
 
-        def full(d):
-            _reference_move(series, x, i, d, direct, left)
-            return min(walk(i).values()) > 0.0
-
         def boundary(end, limit):
-            good, edge = perturbed._bisect(fast, end)
-            if not full(good):
-                good, edge = perturbed._bisect(full, end)
+            good, edge = perturbed._bisect(feasible, end)
+            # the oracle: the full walk, spread check included, agrees with
+            # the O(1) probe at each side's last feasible shift.  It holds on
+            # the suite's chains; a flow that cancels to rounding level there
+            # may round to either sign (test_perturbed.py::
+            # test_numeric_interval_where_the_walk_rounds_the_last_flow_the_other_way)
+            _reference_move(series, x, i, good, direct, left)
+            assert min(walk(i).values()) > 0.0, (net, i, good)
             return limit if edge is None else edge
 
         return StabilityInterval(

@@ -389,9 +389,9 @@ def test_numeric_interval_matches_full_solve_bisection():
             assert (interval.lo, interval.hi) == _reference_d_interval(net, i), (n, i)
 
 
-def test_numeric_interval_probes_run_the_spread_check(monkeypatch):
-    # under a spread tolerance no walk can meet, every probe is infeasible,
-    # the unshifted one included
+def test_numeric_interval_d0_walk_runs_the_spread_check(monkeypatch):
+    # under a spread tolerance no walk can meet, the one walk at d = 0
+    # fails before any probe runs, and names no component's value
     monkeypatch.setattr(perturbed, "EQUAL_ENERGY_TOL", -1.0)
     with pytest.raises(NegativeFlow) as info:
         numeric_d_interval(unit_perturbed(3, 2.0), 2)
@@ -505,30 +505,52 @@ def _counted_walks(monkeypatch) -> list[int]:
     return calls
 
 
-def test_numeric_interval_falls_back_when_the_endpoint_walk_fails(monkeypatch):
-    # a probe that calls every shift feasible ends each side at the bracket
-    # end, whose full walk fails where the flow turns negative first: that
-    # side is bisected again with full walks, to the reference's endpoints
-    monkeypatch.setattr(perturbed, "_shift_probes", lambda *args: lambda i: lambda *costs: True)
-    calls = _counted_walks(monkeypatch)
-    for n, a, i in ((3, 1.0, 1), (4, 2.0, 2), (4, 2.0, 4), (6, 3.0, 3)):
-        net = unit_perturbed(n, a)
-        calls[0] = 0
-        interval = numeric_d_interval(net, i)
-        assert calls[0] > 3
-        assert (interval.lo, interval.hi) == _reference_d_interval(net, i), (n, a, i)
-
-
 @pytest.mark.parametrize("n", [10, 500])
 def test_numeric_interval_runs_three_walks(monkeypatch, n):
-    # the bisection's probes are O(1): full walks run at d = 0 and at each
-    # side's last feasible probe only, so an interval costs O(n), not O(70 n)
+    # the bisection's probes are O(1) and decide every shift: the walk at
+    # d = 0 is the only one, so all n nodes cost O(n), not O(n^2)
     calls = _counted_walks(monkeypatch)
-    net = unit_perturbed(n, 2.0)
-    for i in sorted({1, 2, n // 2, n - 1, n}):
-        calls[0] = 0
-        numeric_d_interval(net, i)
-        assert calls[0] <= 3, (n, i)
+    intervals = numeric_d_intervals(unit_perturbed(n, 2.0), range(1, n + 1))
+    assert calls[0] == 1 and len(intervals) == n
+
+
+def test_numeric_intervals_match_the_walk_oracle_on_long_chains():
+    # on long chains of a steep two-term series, at unit volumes and at
+    # volumes drawn from [0.5, 2], the probes' endpoints equal the
+    # reference's bit for bit, and a full walk with its spread check is
+    # feasible at every side's last feasible probe
+    rng = np.random.default_rng(1000)
+    series = build_cost_series([(0.5, 1.0), (0.5, 8.0)])
+    for n, volumes in ((1000, (1.0,) * 1000), (2000, tuple(rng.uniform(0.5, 2.0, 2000)))):
+        net = PerturbedNetwork(n, (0.0,) * n, tuple(float(v) for v in volumes), series)
+        inner = {int(i) for i in rng.integers(3, n - 1, size=16)}
+        nodes = sorted(inner | {1, 2, n - 1, n})
+        assert numeric_d_intervals(net, nodes) == reference_intervals(net, nodes), n
+
+
+def test_numeric_interval_where_the_walk_rounds_the_last_flow_the_other_way():
+    # at node 2's last feasible probe q_{3,0} cancels to rounding level: the
+    # probe computes it positive, the full walk negative (FlowMatrix reads 0).
+    # The probe decides, so the endpoint lies one final bracket past the
+    # full-solve bisection's, inside BISECTION_TOL
+    series = CostSeries(
+        ((0.179489267590251, 17.097848028211832), (0.4332317145383279, 19.558588361808642),
+         (0.3872790178714211, 6.671218049272053))
+    )
+    volumes = (0.012751681926674833, 442.64656740034656, 0.005142906096523676)
+    net = PerturbedNetwork(3, (0.0,) * 3, volumes, series)
+    direct, left = perturbed._costs(net)
+    probe = perturbed._shift_probes(volumes, direct, left, 2, 2)(2)
+    x, cost = net.positions().x, cost_function(series)
+    good, edge = perturbed._bisect(
+        lambda d: probe(*perturbed._move_node(cost, x, 2, d, direct, left)), 1.0 - BRACKET_MARGIN
+    )
+    moved = PerturbedNetwork(3, (0.0, good, 0.0), volumes, series)
+    assert _walked(moved)[2] < 0.0  # q_{3,0} in the walk's order
+    flow = solve_equal_energy(moved).flow
+    assert flow.min_entry() == flow.amount(3, 0) == 0.0
+    assert edge == numeric_d_interval(net, 2).hi
+    assert 0.0 < edge - _reference_d_interval(net, 2)[1] <= BISECTION_TOL
 
 
 def test_numeric_intervals_equal_the_one_node_calls():
