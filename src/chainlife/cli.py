@@ -148,12 +148,13 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"--grid needs finite LO, HI and STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--grid needs STEP > 0 and HI >= LO")
-    if (hi - lo) / step > _MAX_GRID_STEPS:
+    steps = (hi - lo) / step
+    if steps > _MAX_GRID_STEPS:
         raise ConfigError(f"--grid {spec!r} has more than {_MAX_GRID_STEPS} steps")
     values = []
     k = 0
     eps = step * 1e-9
-    while True:
+    while k <= steps + 1:  # bounds the points where STEP is below the float spacing at LO
         value = lo + k * step
         if value > hi + eps:
             break

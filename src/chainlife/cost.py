@@ -88,7 +88,10 @@ def build_cost_series(
             raise NegativeCoefficient(f"coefficient {lam} at term {k} is negative or not finite")
         if not 1.0 <= a < math.inf:
             raise ExponentBelowOne(f"exponent {a} at term {k} is below 1 or not finite")
-    total = math.fsum(lam for lam, _ in pairs)
+    try:
+        total = math.fsum(lam for lam, _ in pairs)
+    except OverflowError:
+        raise NotNormalized("coefficients sum past the float range, expected 1") from None
     if abs(total - 1.0) > NORMALIZATION_TOL:
         if not auto_normalize:
             raise NotNormalized(f"coefficients sum to {total!r}, expected 1")

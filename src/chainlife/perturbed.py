@@ -382,27 +382,17 @@ def flow_quadratics_a1(n: int, i: int, d: float) -> tuple[float, float]:
 
 
 def _move_node(
-    cost: Callable[[float, float], float],
-    x: Sequence[float],
-    i: int,
-    d: float,
-    direct: list[float],
-    left: list[float],
+    cost: Callable[[float, float], float], x: Sequence[float], i: int, d: float
 ) -> tuple[float, float, float | None]:
-    """Recost node i of chain x moved to i - d, in place in direct and left.
+    """D_i, L_i and L_{i+1} of chain x with node i moved to i - d.
 
-    ``cost`` is the chain's cost_function.  Returns D_i, L_i and L_{i+1}
-    (None for the last node).  The coordinate is built as
-    Positions.from_shifts builds it, so each cost equals, bit for bit, the
-    one the moved chain's own costing computes.
+    ``cost`` is the chain's cost_function; L_{i+1} is None for the last
+    node.  The coordinate is built as Positions.from_shifts builds it, so
+    each cost equals, bit for bit, the one the moved chain's own costing
+    computes.
     """
     xi = i - d
-    direct[i] = cost(xi, 0.0)
-    left[i] = cost(xi, x[i - 1])
-    if i + 1 == len(x):
-        return direct[i], left[i], None
-    left[i + 1] = cost(x[i + 1], xi)
-    return direct[i], left[i], left[i + 1]
+    return cost(xi, 0.0), cost(xi, x[i - 1]), None if i + 1 == len(x) else cost(x[i + 1], xi)
 
 
 _OPEN = (-math.inf, math.inf)
@@ -427,9 +417,15 @@ def _narrow(window: tuple[float, float], *terms: tuple[float, float]) -> tuple[f
 
 
 def _shift_probes(
-    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
-) -> Callable[[int], Callable[[float, float, float | None], bool]]:
-    """probe(i): an O(1) test of whether the walk's flows stay positive once node i is recosted.
+    volumes: Sequence[float],
+    direct: Sequence[float],
+    left: Sequence[float],
+    first: int,
+    last: int,
+    cost: Callable[[float, float], float],
+    x: Sequence[float],
+) -> Callable[[int], Callable[[float], bool]]:
+    """probe(i): an O(1) test of whether the walk's flows stay positive with node i shifted by d.
 
     The d = 0 relay sums of _relay_sums are summed once for nodes
     first..last, with their windows on E: head[k], for k < ``last``, is the
@@ -447,9 +443,10 @@ def _shift_probes(
     flow component but q_{i,0}, q_{i+1,0} and q_{i+1,i} is therefore affine
     in E with fixed coefficients, and their positivity is one open window
     lo < E < hi, the head window before node i met with the tail window
-    after node i + 1.  probe(i) returns a test that takes the three new
-    costs, solves for E and checks the window and the three remaining
-    components; a zero division fails it.
+    after node i + 1.  probe(i) returns feasible(d), which costs node i
+    moved to i - d with _move_node on the chain's cost function ``cost``
+    and unshifted coordinates ``x``, solves for E and checks the window and
+    the three remaining components; a zero division fails it.
     """
     n = len(volumes)
     a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
@@ -463,7 +460,7 @@ def _shift_probes(
         flow = (-c[k - 1] * left[k] / direct[k], (1.0 - e[k - 1] * left[k]) / direct[k])
         tail[k] = _narrow(tail[k + 1], flow, (c[k - 1], e[k - 1]))
 
-    def probe(i: int) -> Callable[[float, float, float | None], bool]:
+    def probe(i: int) -> Callable[[float], bool]:
         a_i, b_i, c_i, e_i = a[i - 1], b[i - 1], c[i + 1], e[i + 1]
         (head_lo, head_hi), (tail_lo, tail_hi) = head[i - 1], tail[i + 2]
         lo, hi = max(head_lo, tail_lo), min(head_hi, tail_hi)
@@ -471,7 +468,8 @@ def _shift_probes(
         if i < n:
             next_volume, next_direct = float(volumes[i]), direct[i + 1]
 
-        def feasible(d_i: float, l_i: float, l_next: float | None) -> bool:
+        def feasible(d: float) -> bool:
+            d_i, l_i, l_next = _move_node(cost, x, i, d)
             try:
                 shrink = 1.0 - l_i / d_i
                 ra = a_i * shrink - volume  # r_i = q_{i+1,i} = ra + rb E
@@ -528,10 +526,9 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     walked once at d = 0, where NegativeFlow names the most negative
     component, and summed once from both ends (see _shift_probes).  A probe
     at shift d then recomputes only D_i, L_i and L_{i+1}, the costs node
-    i's move touches, in O(1); those three costs are put
-    back before the next node.  The probe alone decides every shift: the
-    d = 0 walk, with its energy-spread check, is the only walk, so all
-    nodes cost O(n) plus O(1) per probe.
+    i's move touches, in O(1), and changes no list of the set-up.  The
+    probe alone decides every shift: the d = 0 walk, with its energy-spread
+    check, is the only walk, so all nodes cost O(n) plus O(1) per probe.
     """
     shifted = [k for k, d in enumerate(net.shifts, start=1) if d != 0.0]
     for i in nodes:
@@ -557,27 +554,13 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     if not lowest > 0.0:
         worst = _walk_key(flows.index(lowest), net.n)
         raise NegativeFlow(worst, lowest, "solved flow not positive at d = 0")
-    probes = _shift_probes(volumes, direct, left, min(nodes), max(nodes))
-
-    def interval(i: int) -> StabilityInterval:
-        probe = probes(i)
-
-        def feasible(d: float) -> bool:
-            return probe(*_move_node(cost, x, i, d, direct, left))
-
-        def boundary(end: float, limit: float) -> float:
-            edge = _bisect(feasible, end)[1]
-            return limit if edge is None else edge
-
-        return StabilityInterval(
-            boundary(-1.0 + BRACKET_MARGIN, -1.0), boundary(1.0 - BRACKET_MARGIN, 1.0)
-        )
-
+    probes = _shift_probes(volumes, direct, left, min(nodes), max(nodes), cost, x)
     intervals = []
     for i in nodes:
-        at_zero = direct[i], left[i : i + 2]
-        intervals.append(interval(i))
-        direct[i], left[i : i + 2] = at_zero  # undo the probes' moves
+        feasible = probes(i)
+        lo = _bisect(feasible, -1.0 + BRACKET_MARGIN)[1]
+        hi = _bisect(feasible, 1.0 - BRACKET_MARGIN)[1]
+        intervals.append(StabilityInterval(-1.0 if lo is None else lo, 1.0 if hi is None else hi))
     return intervals
 
 
@@ -620,7 +603,9 @@ def sweep(
                 raise ValueError(
                     f"d{index} = {value:g}: coordinates must increase strictly (index {k})"
                 )
-            _move_node(cost, x, index, value, direct, left)
+            direct[index], left[index], hop = _move_node(cost, x, index, value)
+            if hop is not None:
+                left[index + 1] = hop
         sent, relays, energy = _equal_energy_flows(volumes, direct, left)
         _checked_energies(sent, relays, direct, left)
         min_flow = _clamped_min(_walk_order(sent, relays))

@@ -187,5 +187,6 @@ def stability_region_Q_check(net: PerturbedNetwork) -> bool:
     """
     if net.n < 3:
         raise ValueError("the uniform volume region is defined for three or more nodes")
-    total = math.fsum(net.volumes)
-    return all(q >= 1.0 for q in net.volumes) and total < 1.5 * net.n
+    bound = 1.5 * net.n
+    # a volume of 1.5 N or more fails the total too; below it the fsum stays finite
+    return all(1.0 <= q < bound for q in net.volumes) and math.fsum(net.volumes) < bound

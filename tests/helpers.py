@@ -178,13 +178,13 @@ def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]
     worst = min(q, key=q.__getitem__)
     if not q[worst] > 0.0:
         raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
-    probes = perturbed._shift_probes(volumes, direct, left, min(nodes), max(nodes))
+    probes = perturbed._shift_probes(
+        volumes, direct, left, min(nodes), max(nodes),
+        lambda xi, xj: transmission_cost(series, xi, xj), x,
+    )
 
     def interval(i):
-        probe = probes(i)
-
-        def feasible(d):
-            return probe(*_reference_move(series, x, i, d, direct, left))
+        feasible = probes(i)
 
         def boundary(end, limit):
             good, edge = perturbed._bisect(feasible, end)

@@ -183,6 +183,23 @@ def test_cost_overflow_is_one_error_line(write_config, capsys, command):
     assert len(lines) == 1 and lines[0].startswith("error:") and "float range" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["solve-regular", "stability-q", "sweep"])
+def test_cost_coefficients_summing_past_the_float_range_are_one_error_line(
+    write_config, capsys, command
+):
+    doc = quadratic_chain(3)
+    doc["cost"] = {
+        "terms": [{"lambda": 1e308, "exponent": 2.0}, {"lambda": 1e308, "exponent": 3.0}],
+        "auto_normalize": True,
+    }
+    extra = ["--param", "Q1", "--grid", "1:2:1"] if command == "sweep" else []
+    assert main([command, "--input", write_config("net.json", doc), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid cost series:")
+
+
 def test_solve_perturbed_accepts_regular_config(write_config, capsys):
     path = write_config("net.json", quadratic_chain(2))
     assert main(["solve-perturbed", "--input", path]) == 0
@@ -274,6 +291,16 @@ def test_stability_q_document(write_config, capsys):
     assert rows[3]["q_max"] is None
     assert doc["q_constraints_ok"] is True
     assert doc["unit_region"] is True
+
+
+def test_stability_q_volumes_summing_past_the_float_range_leave_the_unit_region(
+    write_config, capsys
+):
+    path = write_config("net.json", quadratic_chain(3, volumes=[1e308, 1e308, 1.0]))
+    assert main(["stability-q", "--input", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["unit_region"] is False
 
 
 def steep_chain(volumes) -> dict:
@@ -786,6 +813,11 @@ def test_sweep_rejects_a_grid_of_too_many_steps(write_config, capsys, grid):
     assert len(lines) == 1 and lines[0].startswith("error: --grid") and "steps" in lines[0]
 
 
+def test_grid_step_below_the_float_spacing_at_lo_ends():
+    # 1e20 + 1 == 1e20: the points stop after one step past HI, not at 2**13
+    assert cli._parse_grid("1e20:1e20:1") == [1e20, 1e20]
+
+
 def test_grid_of_the_most_steps_is_accepted():
     values = cli._parse_grid("0:1000000:1")
     assert len(values) == 1_000_001 and values[-1] == 1_000_000.0
@@ -944,3 +976,75 @@ def test_module_entry_point(write_config, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["common_energy"] == 1.75
+
+
+def _extreme_reals(extremes, lo: float, hi: float):
+    return st.one_of(st.sampled_from(extremes), st.floats(lo, hi))
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand with its arguments and config: n <= 6, finite extremes, small grids."""
+    n = draw(st.integers(1, 6))
+    volume = _extreme_reals([1.0, 5e-324, 1e-308, 0.5, 2.0, 1e20, 1e308, 0.0, -1.0], 0.0, 1e308)
+    volumes = draw(st.one_of(st.just([1.0] * n), st.lists(volume, min_size=n, max_size=n)))
+    exponent = _extreme_reals([1.0, 2.0, 1000.0, 0.5], 1.0, 1000.0)
+    lam = _extreme_reals([1.0, 0.0, 1e308, 5e-324], 0.0, 1e308)
+    terms = draw(st.one_of(
+        st.builds(lambda a: [(1.0, a)], exponent),
+        st.lists(st.tuples(lam, exponent), min_size=1, max_size=3),
+    ))
+    command = draw(st.sampled_from(
+        ["solve-regular", "solve-perturbed", "stability-q", "stability-d", "verify", "sweep"]
+    ))
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "verify":
+        doc = {
+            "n_values": [n],
+            "exponents": [a for _, a in terms],
+            "volumes": draw(st.sampled_from(["unit", [volumes]])),
+            "random_q": draw(st.integers(0, 2)),
+        }
+        return doc, argv + ["--seed", str(draw(st.integers(0, 3)))]
+    doc = {
+        "n": n,
+        "volumes": volumes,
+        "cost": {
+            "terms": [{"lambda": lam, "exponent": a} for lam, a in terms],
+            "auto_normalize": draw(st.booleans()),
+        },
+    }
+    if draw(st.booleans()):
+        shift = _extreme_reals([0.0, 0.999999, -0.999999, 1.0], -1.0, 1.0)
+        doc["shifts"] = draw(st.lists(shift, min_size=n, max_size=n))
+    if command in ("stability-q", "stability-d"):
+        nodes = draw(st.lists(st.integers(1, n), min_size=1, max_size=n))
+        argv += ["--nodes", draw(st.sampled_from(["all", ",".join(map(str, nodes))]))]
+    elif command == "sweep":
+        # at most 20 points from LO <= 1e20, with STEP above the float spacing there
+        lo = draw(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e20, 1e20)))
+        step = draw(st.floats(max(abs(lo), 1.0) * 1e-15, 1e20))
+        hi = lo + draw(st.integers(0, 19)) * step
+        argv += ["--param", f"{draw(st.sampled_from('Qd'))}{draw(st.integers(1, n))}",
+                 f"--grid={lo!r}:{hi!r}:{step!r}"]
+    return doc, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=cli_calls())
+def test_every_subcommand_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, call):
+    # an exception escaping main is the traceback a user would see; a
+    # non-zero exit names its cause on an error: line, except verify's
+    # documented silent exit 3 on outside_region rows
+    doc, argv = call
+    path = tmp_path_factory.mktemp("call") / "config.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--input", str(path)])
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        silent_outside = argv[0] == "verify" and rc == 3 and "outside_region" in out.getvalue()
+        assert silent_outside or any(
+            line.startswith("error:") for line in err.getvalue().splitlines()
+        ), (argv, err.getvalue())

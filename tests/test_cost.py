@@ -62,6 +62,12 @@ def test_rejects_empty_and_zero_sum():
         build_cost_series([(0.0, 1.0), (0.0, 2.0)], auto_normalize=True)
 
 
+@pytest.mark.parametrize("auto_normalize", [False, True])
+def test_coefficients_summing_past_the_float_range_are_not_normalized(auto_normalize):
+    with pytest.raises(NotNormalized, match="float range"):
+        build_cost_series([(1e308, 1.0), (1e308, 2.0)], auto_normalize=auto_normalize)
+
+
 def test_accepts_exact_normalization():
     series = build_cost_series([(0.25, 1.0), (0.75, 3.0)])
     assert transmission_cost(series, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -202,7 +202,9 @@ def test_zero_hop_cost_is_singular():
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
         volume_limits(net)
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
-        perturbed._shift_probes(net.volumes, *perturbed._costs(net), 1, 2)
+        perturbed._shift_probes(
+            net.volumes, *perturbed._costs(net), 1, 2, cost_function(net.series), net.positions().x
+        )
 
 
 def test_zero_shift_solution_matches_regular_closed_form():
@@ -449,9 +451,9 @@ def test_shift_probe_decides_as_the_full_solve():
         volumes = tuple(float(v) for v in rng.uniform(0.1, 3.0, size=n))
         net = PerturbedNetwork(n, (0.0,) * n, volumes, random_series(rng))
         x, cost = net.positions().x, cost_function(net.series)
+        direct, left = perturbed._costs(net)
         for i in range(1, n + 1):
-            direct, left = perturbed._costs(net)
-            probe = perturbed._shift_probes(volumes, direct, left, i, i)(i)
+            probe = perturbed._shift_probes(volumes, direct, left, i, i, cost, x)(i)
             for d in rng.uniform(-0.999, 0.999, size=10):
                 shifts = [0.0] * n
                 shifts[i - 1] = float(d)
@@ -459,8 +461,7 @@ def test_shift_probe_decides_as_the_full_solve():
                 flow = solve_equal_energy(probe_net, check_flows=False).flow
                 if abs(flow.min_entry()) < 1e-9:
                     continue
-                costs = perturbed._move_node(cost, x, i, float(d), direct, left)
-                feasible = probe(*costs)
+                feasible = probe(float(d))
                 assert feasible == (flow.min_entry() > 0.0), (n, i, d)
                 negative = {key for key, v in flow.items() if v < 0.0}
                 window += bool(negative) and not negative & {(i, 0), (i + 1, 0), (i + 1, i)}
@@ -486,11 +487,13 @@ def test_a_term_no_energy_makes_positive_empties_the_window():
     # Q_1 L_2 / D_2 underflows, so the direct flow q_{2,0} is the constant 0
     net = PerturbedNetwork(4, (0.0,) * 4, (5e-324, 1.0, 1.0, 1.0), single_exponent_series(2.0))
     direct, left = perturbed._costs(net)
-    probes = perturbed._shift_probes(net.volumes, direct, left, 1, 4)
+    probes = perturbed._shift_probes(
+        net.volumes, direct, left, 1, 4, cost_function(net.series), net.positions().x
+    )
     assert solve_equal_energy(net, check_flows=False).flow.min_entry() == 0.0
     # nodes 3 and 4 read the empty head window of nodes 1..2 at their own d = 0 costs
-    assert not probes(3)(direct[3], left[3], left[4])
-    assert not probes(4)(direct[4], left[4], None)
+    assert not probes(3)(0.0)
+    assert not probes(4)(0.0)
 
 
 def _counted_walks(monkeypatch) -> list[int]:
@@ -540,11 +543,9 @@ def test_numeric_interval_where_the_walk_rounds_the_last_flow_the_other_way():
     volumes = (0.012751681926674833, 442.64656740034656, 0.005142906096523676)
     net = PerturbedNetwork(3, (0.0,) * 3, volumes, series)
     direct, left = perturbed._costs(net)
-    probe = perturbed._shift_probes(volumes, direct, left, 2, 2)(2)
     x, cost = net.positions().x, cost_function(series)
-    good, edge = perturbed._bisect(
-        lambda d: probe(*perturbed._move_node(cost, x, 2, d, direct, left)), 1.0 - BRACKET_MARGIN
-    )
+    probe = perturbed._shift_probes(volumes, direct, left, 2, 2, cost, x)(2)
+    good, edge = perturbed._bisect(probe, 1.0 - BRACKET_MARGIN)
     moved = PerturbedNetwork(3, (0.0, good, 0.0), volumes, series)
     assert _walked(moved)[2] < 0.0  # q_{3,0} in the walk's order
     flow = solve_equal_energy(moved).flow
@@ -555,7 +556,7 @@ def test_numeric_interval_where_the_walk_rounds_the_last_flow_the_other_way():
 
 def test_numeric_intervals_equal_the_one_node_calls():
     # nodes in any order, repeated or not, see the set-up as a one-node call
-    # does: each node's moved costs are put back before the next; a node's
+    # does: no probe writes into the set-up's costs; a node's
     # own template shift is replaced by every probe
     rng = np.random.default_rng(4242)
     for _ in range(20):
