@@ -304,19 +304,19 @@ def _suite_volumes(volumes, n: int) -> list[tuple[float, ...]]:
 def _verify_chain(n: int, series: CostSeries, cases: list[tuple[float, ...]]) -> list[dict]:
     """The verify rows of one chain, one per volume vector, in order.
 
-    The chain is costed, its LP matrix built and, at the first vector inside
-    the volume region, its certificate found once; each vector then pays its
-    O(n) walk and its bound.  ``lp`` is the certified dual bound inside the
-    region and the checked HiGHS optimum outside it.
+    The chain is costed and its LP matrix and certificate built once; each
+    vector then pays its network, its O(n) walk and its bound.  ``lp`` is
+    the certified dual bound inside the volume region and the checked HiGHS
+    optimum outside it.
     """
     chain = RegularNetwork(n, cases[0], series)
     matrix = formulate(chain).costs
+    prove = certifier(matrix)
     costs = _costs(chain)
     terms = series_to_terms(series)
-    prove = None
     rows = []
     for q in cases:
-        net = chain if q is cases[0] else RegularNetwork(n, q, series)
+        net = RegularNetwork(n, q, series)
         head = {"n": n, "series": terms, "volumes": list(q)}
         try:
             sol = flow_closed_form(net, costs=costs)
@@ -327,8 +327,6 @@ def _verify_chain(n: int, series: CostSeries, cases: list[tuple[float, ...]]) ->
                 {**head, "lp": lp, "closed_form": None, "gap": None, "status": "outside_region"}
             )
             continue
-        if prove is None:
-            prove = certifier(matrix)
         cert = prove(q)
         gap = abs(sol.common_energy - cert.bound)
         optimal = gap <= DEFAULT_VERIFY_TOL and cert.slack <= DEFAULT_VERIFY_TOL

@@ -16,11 +16,11 @@ senders, receivers and amounts straight from the matrix's columns over a
 repeated row template, a ``{"from", "to", "amount"}`` object in JSON and
 ``from,to,amount`` in CSV.  No per-flow dict or row is built and no shape
 is checked: a FlowMatrix holds int indices and float amounts by
-construction.  And a JSON list of at least ``_RUN_MIN`` exact floats (a
-solution's node energies, verify's volumes) is joined with one
-``"%.17g"``, which runs the same float formatter as ``format(x, ".17g")``.
-Both check the reals' finiteness first.  Every other list and every CSV
-row is written value by value.
+construction.  And a JSON list of exact floats (a solution's node
+energies, verify's volumes) is joined with one ``"%.17g"``, which runs the
+same float formatter as ``format(x, ".17g")``.  Both check the reals'
+finiteness first.  Every other list and every CSV row is written value by
+value.
 """
 from __future__ import annotations
 
@@ -148,10 +148,6 @@ _SCALAR_TEXT = {
 }
 
 
-# a list of fewer exact floats is written value by value, which is faster there
-_RUN_MIN = 8
-
-
 def _float_run(items: Sequence[Any], inner: str) -> str | None:
     """JSON texts of a list's items joined by ",\n" + inner, in one format call.
 
@@ -184,7 +180,7 @@ def _text(value: Any, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        body = _float_run(value, inner) if len(value) >= _RUN_MIN else None
+        body = _float_run(value, inner)
         if body is None:
             body = (",\n" + inner).join([_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + pad + "]"

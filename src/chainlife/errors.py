@@ -42,7 +42,7 @@ class IndexOutOfRange(ChainlifeError):
 
 
 class SingularMatrix(ChainlifeError):
-    """The routing system matrix could not be factorized reliably."""
+    """A zero or infinite hop cost, or node energies that disagree after the walk."""
 
 
 class NumericalStall(ChainlifeError):

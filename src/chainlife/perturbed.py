@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cost import CostSeries, Positions, cost_function
 from .cost import transmission_cost  # noqa: F401  bench/spans.py traces it by this name
-from .errors import IndexOutOfRange, NegativeFlow, SingularMatrix
+from .errors import ChainlifeError, IndexOutOfRange, NegativeFlow, SingularMatrix
 from .validate import EQUAL_ENERGY_TOL, FLOW_ZERO_TOL, FlowMatrix, is_equal_energy
 
 if TYPE_CHECKING:
@@ -122,17 +122,14 @@ def _relay_sums(
     a_k = a_{k-1} s_k - Q_k and b_k = b_{k-1} s_k + 1 / D_k from a_0 = b_0 = 0,
     for k < ``last``.  The backward walk from the far end's zero relay gives
     c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k for
-    k > ``first``; c and e are zero past n.  The backward walk's s_k come
-    last, zero for k <= ``first`` + 1.  Where no backward walk runs
-    (``first`` + 1 >= n), c, e and s are empty.  A zero division, from a
-    zero hop cost or from s_k = 0 on the way back, raises SingularMatrix.
+    k > ``first``; c and e are zero from n on and below ``first`` + 1.  The
+    backward walk's s_k come last, zero for k <= ``first`` + 1.  A zero
+    division, from a zero hop cost or from s_k = 0 on the way back, raises
+    SingularMatrix.
     """
     n = len(volumes)
     a, b = [0.0] * last, [0.0] * last
-    if first + 1 < n:
-        c, e, s = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 1)
-    else:
-        c, e, s = [], [], []
+    c, e, s = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 1)
     try:
         for k in range(1, last):
             shrink = 1.0 - left[k] / direct[k]
@@ -446,12 +443,11 @@ def _shift_probes(
     after node i + 1.  probe(i) returns feasible(d), which costs node i
     moved to i - d with _move_node on the chain's cost function ``cost``
     and unshifted coordinates ``x``, solves for E and checks the window and
-    the three remaining components; a zero division fails it.
+    the three remaining components; a zero division, or a moved cost beyond
+    the float range, fails it.
     """
     n = len(volumes)
     a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
-    if not c:  # no backward walk: the sums past node first + 1 are zero
-        c = e = [0.0] * (n + 2)
     head, tail = [_OPEN] * last, [_OPEN] * (n + 3)
     for k in range(1, last):
         flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])
@@ -469,8 +465,8 @@ def _shift_probes(
             next_volume, next_direct = float(volumes[i]), direct[i + 1]
 
         def feasible(d: float) -> bool:
-            d_i, l_i, l_next = _move_node(cost, x, i, d)
             try:
+                d_i, l_i, l_next = _move_node(cost, x, i, d)
                 shrink = 1.0 - l_i / d_i
                 ra = a_i * shrink - volume  # r_i = q_{i+1,i} = ra + rb E
                 rb = b_i * shrink + 1.0 / d_i
@@ -487,7 +483,7 @@ def _shift_probes(
                     return True
                 relay = ra + rb * energy
                 return relay > 0.0 and (energy - relay * l_next) / next_direct > 0.0
-            except ZeroDivisionError:
+            except (ZeroDivisionError, ChainlifeError):
                 return False
 
         return feasible

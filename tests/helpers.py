@@ -153,6 +153,17 @@ def _reference_move(series, x, i, d, direct, left):
 
 
 def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]:
+    """numeric_d_intervals from the reference costing and walk, checked against the full walk.
+
+    At each side's last feasible probe it asserts that the full walk, spread
+    check included, finds every flow positive.  That holds on the suite's
+    seeded chains but not on every chain.  With the loop of
+    test_perturbed.py::test_the_list_walk_matches_the_dict_walk reseeded,
+    draw 147 (from 0) of default_rng(31) walks q_{8,0} to -2.5e-27, and
+    draw 2889 of default_rng(32) q_{6,0} to -6.3e-51, where the probe
+    rounds it positive.  So drive it only with the suite's seeded chains,
+    not with hypothesis or a reseeded corpus.
+    """
     shifted = [k for k, d in enumerate(net.shifts, start=1) if d != 0.0]
     for i in nodes:
         if not 1 <= i <= net.n:

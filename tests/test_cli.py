@@ -25,6 +25,8 @@ from chainlife import (
     oracle,
     perturbed,
     regular,
+    single_exponent_series,
+    solve_equal_energy,
     stability_bounds_d,
 )
 from chainlife import documents as docs
@@ -431,6 +433,26 @@ def test_stability_d_all_nodes_print_the_one_node_rows(write_config, capsys):
             assert capsys.readouterr().out == text, (n, fmt)
 
 
+def test_stability_d_counts_a_probe_whose_cost_overflows_as_infeasible(write_config, capsys):
+    # node 3's first outward probe, at d = -1 + 1e-6, costs a distance of
+    # almost 4, and 4**600 lies past the float range
+    path = write_config("net.json", {"n": 3, "volumes": [1.0] * 3,
+                                     "cost": {"terms": [{"lambda": 1.0, "exponent": 600.0}]}})
+    out = {}
+    for fmt in ("json", "csv"):
+        assert main(["stability-d", "--input", path, "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    assert main(["stability-d", "--input", path, "--nodes", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == out["csv"].splitlines()[3:]
+    assert main(["stability-d", "--input", path, "--nodes", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(out["json"])[2:]
+    lo = json.loads(out["json"])[2]["numeric"][0]
+    assert -1.0 < lo < 0.0
+    # with node 3 shifted to 0.999 of that end the chain solves with every flow positive
+    net = PerturbedNetwork(3, (0.0, 0.0, 0.999 * lo), (1.0,) * 3, single_exponent_series(600.0))
+    assert solve_equal_energy(net).flow.min_entry() > 0.0
+
+
 def test_verify_default_green(capsys):
     assert main(["verify", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -692,12 +714,14 @@ def verify_suites(draw):
         series.append(_UNPROVABLE[int(rng.integers(2))])
     count = draw(st.integers(1, 5))
     draws = draw(st.integers(0, min(2, count - 1)))
-    vectors = [(1.0,) * n]  # inside U for every series here
+    vectors = []
     for _ in range(count - draws - 1):
         q = unit_region_volumes(rng, n)
         if rng.random() < 0.3:  # a last volume below its minimum leaves U
             q = q[:-1] + (0.01,)
         vectors.append(q)
+    # inside U for every series here, at a drawn place: a suite may open outside U
+    vectors.insert(draw(st.integers(0, len(vectors))), (1.0,) * n)
     return n, series, vectors, draws, seed
 
 

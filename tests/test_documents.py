@@ -230,19 +230,29 @@ def test_parsed_reals_are_floats_whatever_their_literal():
     assert list(map(type, net.volumes)) == [float] * 3
 
 
-# lists long enough for the one-format float run of json_dumps
-RUN = documents._RUN_MIN
-
-
-def item_by_item(write, *args):
-    """What write returns when every run is written value by value."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(documents, "_RUN_MIN", math.inf)
-        return write(*args)
+# a list length for the run tests
+RUN = 8
 
 
 class Real(float):
     """A float subclass: json_dumps and csv_text write it value by value."""
+
+
+def _as_reals(value):
+    """value with every exact float, in lists, tuples and dict values, made a Real."""
+    if type(value) is float:
+        return Real(value)
+    if isinstance(value, dict):
+        return {key: _as_reals(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_as_reals, value))
+    return value
+
+
+def item_by_item(write, *args):
+    """What write returns when every float is written value by value: as a Real,
+    which the one-format float run refuses."""
+    return write(*map(_as_reals, args))
 
 
 run_keys = st.text(
@@ -463,7 +473,7 @@ def _chain_mapping(sent, relays):
     return mapping
 
 
-# chain sizes around _RUN_MIN and up to a few hundred nodes
+# chain sizes around RUN and up to a few hundred nodes
 chain_sizes = st.sampled_from([1, 2, RUN - 1, RUN, RUN + 1]) | st.integers(1, 300)
 # amounts a walk may return: the clamp's range [-1e-9, 0), signed zeros and
 # the subnormals next to them, and larger amounts of either sign

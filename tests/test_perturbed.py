@@ -469,15 +469,19 @@ def test_shift_probe_decides_as_the_full_solve():
     assert window > 0 and relay > 0
 
 
-def test_a_walk_without_a_backward_pass_allocates_no_backward_sums():
-    # the solve reads only the forward sums a and b; c, e and s are built
-    # only where the backward walk runs (first + 1 < n)
-    net = unit_perturbed(5, 2.0)
+def test_relay_sums_have_full_length_and_zeros_where_no_walk_reaches():
+    # c, e and s have full length on every call, zero where the backward
+    # walk does not reach, which is everywhere when first + 1 >= n (the solve)
+    net = PerturbedNetwork(5, (0.0,) * 5, (1.0, 1.3, 0.8, 1.1, 1.2), single_exponent_series(2.0))
     direct, left = perturbed._costs(net)
-    a, b, *backward = perturbed._relay_sums(net.volumes, direct, left, 5, 6)
-    assert backward == [[], [], []] and len(a) == len(b) == 6
-    assert perturbed._relay_sums(net.volumes, direct, left, 4, 6)[2:] == ([], [], [])
-    assert [len(x) for x in perturbed._relay_sums(net.volumes, direct, left, 3, 6)[2:]] == [7, 7, 6]
+    full = perturbed._relay_sums(net.volumes, direct, left, 0, 6)
+    for first in (0, 2, 3, 4, 5):
+        a, b, c, e, s = perturbed._relay_sums(net.volumes, direct, left, first, 6)
+        assert [len(x) for x in (a, b, c, e, s)] == [6, 6, 7, 7, 6]
+        assert (a, b) == full[:2]
+        assert (c[first + 1:], e[first + 1:]) == (full[2][first + 1:], full[3][first + 1:])
+        assert s[first + 2:] == full[4][first + 2:]
+        assert not any(c[:first + 1] + e[:first + 1] + s[:first + 2])
 
 
 def test_a_term_no_energy_makes_positive_empties_the_window():
