@@ -30,8 +30,6 @@ from .cost import CostSeries, series_to_terms, single_exponent_series, transmiss
 from .oracle import DEFAULT_VERIFY_TOL, LpInstance, certifier, formulate, solve as lp_solve
 from .perturbed import (
     PerturbedNetwork,
-    _costs,
-    _relay_sums,
     numeric_d_intervals,
     solve_equal_energy,
     stability_bounds_d,
@@ -209,15 +207,13 @@ def _cmd_solve(args) -> int:
 def _cmd_stability_q(args) -> int:
     net = _require_unshifted(docs.load_network(_require_input(args)))
     nodes = _parse_nodes(args.nodes, net.n)
-    # a limit that is not finite goes to the documents as NaN (see stability_q_csv)
-    # one costing and one relay summation for the limits and the q-constraint check
-    costs = _costs(net)
-    sums = _relay_sums(net.volumes, *costs, 0, net.n + 1)
-    limits = [math.nan if limit is None else limit for limit in volume_limits(net, costs, sums)]
+    # a limit that is not finite goes to the documents as NaN (see stability_q_csv);
+    # the limits and the q-constraint check read the chain's one costing and relay sums
+    limits = [math.nan if limit is None else limit for limit in volume_limits(net)]
     rows = [
         (i, limits[i - 1], None) if i == net.n else (i, 0.0, limits[i - 1]) for i in nodes
     ]
-    ok = check_q_constraints(net, costs, sums)
+    ok = check_q_constraints(net)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None
     if args.format == "csv":
         _write(args, docs.stability_q_csv(rows))
@@ -305,21 +301,21 @@ def _verify_chain(n: int, series: CostSeries, cases: list[tuple[float, ...]]) ->
     """The verify rows of one chain, one per volume vector, in order.
 
     The chain is costed and its LP matrix and certificate built once; each
-    vector then pays its network, its O(n) walk and its bound.  ``lp`` is
+    vector then pays its network, which shares the chain's costing (see
+    PerturbedNetwork.with_volumes), its O(n) walk and its bound.  ``lp`` is
     the certified dual bound inside the volume region and the checked HiGHS
     optimum outside it.
     """
     chain = RegularNetwork(n, cases[0], series)
     matrix = formulate(chain).costs
     prove = certifier(matrix)
-    costs = _costs(chain)
     terms = series_to_terms(series)
     rows = []
     for q in cases:
-        net = RegularNetwork(n, q, series)
+        net = chain.with_volumes(q)
         head = {"n": n, "series": terms, "volumes": list(q)}
         try:
-            sol = flow_closed_form(net, costs=costs)
+            sol = flow_closed_form(net)
         except NegativeFlow:
             # no equal-energy split to certify: report the checked HiGHS optimum
             lp = lp_solve(LpInstance(q, matrix)).value
@@ -329,7 +325,7 @@ def _verify_chain(n: int, series: CostSeries, cases: list[tuple[float, ...]]) ->
             continue
         cert = prove(q)
         gap = abs(sol.common_energy - cert.bound)
-        optimal = gap <= DEFAULT_VERIFY_TOL and cert.slack <= DEFAULT_VERIFY_TOL
+        optimal = cert.proves(sol.common_energy)
         if not optimal:
             cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in series.terms)
             print(
@@ -365,12 +361,10 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed) if draws else None
     rows = []
     for n in n_values:
-        vectors = None  # parsed once per n, after the first exponent's check
         for k, a in enumerate(exponents):
             series = _suite_series(a, k, n)
-            if vectors is None:
-                vectors = _suite_volumes(suite["volumes"], n)
-            cases = vectors + [_random_unit_region_volumes(rng, n) for _ in range(draws)]
+            cases = _suite_volumes(suite["volumes"], n)
+            cases += [_random_unit_region_volumes(rng, n) for _ in range(draws)]
             if cases:
                 rows += _verify_chain(n, series, cases)
     if args.format == "csv":

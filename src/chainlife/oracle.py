@@ -72,6 +72,11 @@ class Certificate:
     slack: float
     arc: tuple[int, int]
 
+    def proves(self, value: float) -> bool:
+        """Whether slack <= DEFAULT_VERIFY_TOL and |value - bound| <= it times max(1, |value|)."""
+        tol = DEFAULT_VERIFY_TOL
+        return self.slack <= tol and abs(value - self.bound) <= tol * max(1.0, abs(value))
+
 
 def formulate(net) -> LpInstance:
     """Build the LP of a chain, costing each distinct distance once (n on a regular chain)."""
@@ -233,7 +238,7 @@ def solve(inst: LpInstance) -> LpSolution:
     pi = np.concatenate(([0.0], result.eqlin.marginals))
     mu = np.concatenate(([0.0], np.maximum(-result.ineqlin.marginals, 0.0)))
     cert = check_dual(inst, pi, mu)
-    if not (cert.slack <= tol and abs(cert.bound - value) <= tol * scale):
+    if not cert.proves(value):
         raise NumericalStall(
             f"the LP duals do not prove the optimum {value:.12g}: arc {cert.arc} has "
             f"dual slack {cert.slack:.6g}, bound {cert.bound:.12g}"

@@ -10,15 +10,18 @@ flat lists, the costs D_i and L_i indexed by node and the flows it returns
 built per chain; a FlowMatrix is built only for a returned solution.  The
 stability question is how far a single node may move before that flow
 stops being feasible, and hence stops solving the minimax energy problem.
-A move of one node changes only the three costs it touches, so a stability
-probe is O(1) once the relay sums of _relay_sums, which the solve and the
-volume limits read too, have summed up the rest of the chain; a sweep
-costs the chain once and reruns only the walk per grid point.
+A chain costs itself and sums its relays from both ends once, on first use
+(PerturbedNetwork.costs and .relay_sums), for every pass to read.  A move
+of one node changes only the three costs it touches, so a stability probe
+is O(1) once _relay_sums has summed up the rest of the chain; a sweep
+costs the chain once into lists of its own and reruns only the walk per
+grid point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cost import CostSeries, Positions, cost_function
@@ -61,6 +64,22 @@ class PerturbedNetwork:
 
     def positions(self) -> Positions:
         return self._positions
+
+    @cached_property
+    def costs(self) -> Costs:
+        """The chain's costing, _costs(self), computed on first use; its readers write nothing."""
+        return _costs(self)
+
+    @cached_property
+    def relay_sums(self) -> tuple[list[float], ...]:
+        """The relay sums of both walks over the whole chain, _relay_sums from 0 to n + 1."""
+        return _relay_sums(self.volumes, *self.costs, 0, self.n + 1)
+
+    def with_volumes(self, volumes: tuple[float, ...]) -> PerturbedNetwork:
+        """This chain with other volumes, sharing its costing, which no volume enters."""
+        net = PerturbedNetwork(self.n, self.shifts, volumes, self.series)
+        net.__dict__["costs"] = self.costs  # where cached_property keeps its value
+        return net
 
 
 @dataclass(frozen=True)
@@ -241,7 +260,7 @@ def assemble_system(net: PerturbedNetwork) -> SystemMatrix:
     import numpy as np
 
     n = net.n
-    direct, left = _costs(net)
+    direct, left = net.costs
     size = 2 * n - 1
     ordering = tuple((m, 0) for m in range(n, 0, -1)) + tuple(
         (m, m - 1) for m in range(2, n + 1)
@@ -275,22 +294,19 @@ def system_determinant(net: PerturbedNetwork) -> float:
     return float(np.linalg.det(assemble_system(net).m))
 
 
-def solve_equal_energy(
-    net: PerturbedNetwork, check_flows: bool = True, costs: Costs | None = None
-) -> EqualEnergySolution:
+def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> EqualEnergySolution:
     """Solve the balance equations and package the equal-energy flow.
 
-    The one solve for every chain, regular or shifted: the chain's costs,
-    the linear-time walk, then the energy-spread check.  A zero or infinite
-    hop cost, or node energies that disagree after the walk, raise
-    SingularMatrix.  Outside the stability region the system still has a
-    unique solution but some component is negative and the flow no longer
-    solves the minimax problem.  With ``check_flows`` set (the default) that
-    situation raises NegativeFlow; disabling the check returns the signed
-    solution for boundary exploration.  ``costs`` is the chain's costing,
-    _costs(net), when the caller has it already.
+    The one solve for every chain, regular or shifted: the chain's costing
+    (net.costs), the linear-time walk, then the energy-spread check.  A zero
+    or infinite hop cost, or node energies that disagree after the walk,
+    raise SingularMatrix.  Outside the stability region the system still
+    has a unique solution but some component is negative and the flow no
+    longer solves the minimax problem.  With ``check_flows`` set (the
+    default) that situation raises NegativeFlow; disabling the check
+    returns the signed solution for boundary exploration.
     """
-    direct, left = costs or _costs(net)
+    direct, left = net.costs
     sent, relays, energy = _equal_energy_flows(net.volumes, direct, left)
     return _equal_energy_solution(sent, relays, energy, direct, left, check_flows)
 
@@ -301,7 +317,7 @@ def node_energy_sn(net: PerturbedNetwork) -> float:
     The whole bracket, including the farthest node's term, is divided by
     det M; the regression suite pins this grouping against solve_equal_energy.
     """
-    direct, left = _costs(net)
+    direct, left = net.costs
     n = net.n
     if n == 1:
         return float(net.volumes[0]) * direct[1]
@@ -537,7 +553,7 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
         return []
     # every probe replaces node i's own shift, so the set-up is the unshifted chain's
     template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series) if shifted else net
-    direct, left = _costs(template)
+    direct, left = template.costs
     x, cost, volumes = template.positions().x, cost_function(net.series), net.volumes
     try:
         sent, relays, _ = _equal_energy_flows(volumes, direct, left)
@@ -571,7 +587,8 @@ def sweep(
     """(value, common energy, smallest flow) with Q_index or d_index set to each value.
 
     ``kind`` is "Q" or "d" and index is a node in 1..n.  The chain is costed
-    once: a volume point reruns only the walk, and a shift point recosts
+    once, into lists of the sweep's own that it writes, not net.costs: a
+    volume point reruns only the walk, and a shift point recosts
     D_index, L_index and L_index+1 first.  Each point runs the energy-spread
     check and reads its smallest flow after FlowMatrix's clamp, the first
     of tied flows in the walk's order, so that a zero keeps its sign (see
@@ -659,7 +676,7 @@ def energy_bounds_perturbed(net: PerturbedNetwork) -> tuple[float, float]:
     share of the hop-count workload up to the total volume, the relay load
     of node 1; the lower end is attained for exponent-1 cost.
     """
-    _, left = _costs(net)
+    _, left = net.costs
     n = net.n
     hop_prefix = 0.0
     lower = 0.0

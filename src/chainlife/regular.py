@@ -5,9 +5,9 @@ energy is attained by a flow in which each node splits its traffic between
 the collector and its left neighbour so that all nodes spend exactly the
 same energy per round.  That split is the one linear-time solve of
 chainlife.perturbed; this module holds the boundaries of the volume region
-where it stays feasible, and the paper's closed forms for the common energy
-of the regular chain, kept as references that the tests check against the
-solve.
+where it stays feasible, read off PerturbedNetwork.costs and .relay_sums,
+and the paper's closed forms for the common energy of the regular chain,
+kept as references that the tests check against the solve.
 """
 from __future__ import annotations
 
@@ -16,15 +16,7 @@ from typing import Sequence
 
 from .cost import CostSeries, unit_hop_costs
 from .errors import DegenerateCoefficient, IndexOutOfRange
-from .perturbed import (
-    Costs,
-    PerturbedNetwork,
-    _costs,
-    _direct_flows,
-    _equal_energy_flows,
-    _relay_sums,
-    solve_equal_energy,
-)
+from .perturbed import PerturbedNetwork, _direct_flows, _equal_energy_flows, solve_equal_energy
 
 Q_CONSTRAINT_TOL = 1e-12
 
@@ -67,7 +59,7 @@ def node_energy_closed_form(net: PerturbedNetwork) -> float:
 
 def raw_flows(net: PerturbedNetwork) -> dict[tuple[int, int], float]:
     """Flow components without feasibility checks, in the walk's order; diagnostic use only."""
-    sent, relays, _ = _equal_energy_flows(net.volumes, *_costs(net))
+    sent, relays, _ = _equal_energy_flows(net.volumes, *net.costs)
     flows = {(i, 0): sent[i] for i in range(1, net.n + 1)}
     flows.update(((i, i - 1), relays[i]) for i in range(net.n, 1, -1))
     return flows
@@ -84,9 +76,7 @@ def harmonic_flow_a2(i: int, n: int) -> float:
     return (i - harmonic) / (i * (i - 1))
 
 
-def check_q_constraints(
-    net: PerturbedNetwork, costs: Costs | None = None, sums: tuple[list[float], ...] | None = None
-) -> bool:
+def check_q_constraints(net: PerturbedNetwork) -> bool:
     """Feasibility of the volume vector for the equal-energy construction.
 
     Requires Q_1 >= 1 and each later volume Q_i to exceed its own direct
@@ -94,17 +84,14 @@ def check_q_constraints(
     relay stream toward the collector.  A split whose flows are all positive
     need not meet it: on n = 3 with cost s**2 and volumes (2, 0.25, 1) every
     flow is positive, but Q_2 = 0.25 < q_{2,0} = 0.5.  Strict inequalities
-    are tested with a 1e-12 slack.  ``costs`` is the chain's costing,
-    perturbed._costs(net), and ``sums`` its relay sums,
-    perturbed._relay_sums(volumes, *costs, 0, n + 1), when the caller has
-    them already; the direct flows are the solve's, from the forward sums.
+    are tested with a 1e-12 slack.  The direct flows are the solve's, from
+    the forward relay sums of the chain's net.relay_sums, which
+    volume_limits reads too.
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    n = net.n
-    direct, left = costs or _costs(net)
-    a, b, *_ = sums or _relay_sums(net.volumes, direct, left, n, n + 1)
-    sent = _direct_flows(net.volumes, direct, left, -a[n] / b[n])
+    a, b, *_ = net.relay_sums
+    sent = _direct_flows(net.volumes, *net.costs, -a[net.n] / b[net.n])
     return all(q > flow - Q_CONSTRAINT_TOL for q, flow in zip(net.volumes[1:], sent[2:]))
 
 
@@ -112,14 +99,12 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def volume_limits(
-    net: PerturbedNetwork, costs: Costs | None = None, sums: tuple[list[float], ...] | None = None
-) -> tuple[float | None, ...]:
-    """Q_i^max of every node i < N and Q_N^min, from one costing and the relay sums.
+def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
+    """Q_i^max of every node i < N and Q_N^min, from the chain's costing and relay sums.
 
     Entry i - 1 is node i's limit with the other volumes fixed, None where
     it is not finite (a zero slope or an overflow).  Every flow is affine
-    in each volume.  From perturbed._relay_sums, E = -a_N / b_N with
+    in each volume.  From net.relay_sums, E = -a_N / b_N with
     -a_N = sum_k Q_k P_k and P_k = prod_{m>k} s_m, and the backward sums
     c_i + e_i E of the relay q_{i+1,i} are free of Q_i.  So that relay
     vanishes at Q_i^max = -(c_i b_N + e_i (H_i + T_i)) / (e_i P_i), where
@@ -128,15 +113,13 @@ def volume_limits(
     chain of their own and Q_N^min = E_{N-1} / D_N with
     E_{N-1} = -a_{N-1} / b_{N-1}.  Neither form contains the volume it
     solves for, so neither cancels however far that volume is from it.
-    ``costs`` and ``sums`` are the chain's costing and relay sums, as in
-    check_q_constraints.
     """
     n = net.n
     if n == 1:
         return (0.0,)
-    direct, left = costs or _costs(net)
+    direct = net.costs[0]
     volumes = [float(q) for q in net.volumes]
-    a, b, c, e, s = sums or _relay_sums(volumes, direct, left, 0, n + 1)
+    a, b, c, e, s = net.relay_sums
     values: list[float | None] = [None] * n
     values[n - 1] = _finite(-a[n - 1] / b[n - 1] / direct[n])
     suffix, tail = 1.0, 0.0  # P_i and T_i, from i = N down

@@ -378,20 +378,22 @@ def test_stability_d_subset_and_guards(write_config, capsys):
 
 @pytest.mark.parametrize("n", [10, 500])
 def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, monkeypatch, n):
-    # every node's limit and the q-constraint check come from one costing,
-    # whatever the node count; a costing builds the chain's cost function once
-    calls = [0]
-    cost_function = perturbed.cost_function
+    # every node's limit and the q-constraint check read the chain's one
+    # costing and one relay summation, whatever the node count; a costing
+    # builds the chain's cost function once
+    counts = {"cost_function": 0, "_costs": 0, "_relay_sums": 0}
+    for name in counts:
+        original = getattr(perturbed, name)
 
-    def counted(series):
-        calls[0] += 1
-        return cost_function(series)
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(perturbed, "cost_function", counted)
+        monkeypatch.setattr(perturbed, name, counted)
     path = write_config("net.json", quadratic_chain(n))
     assert main(["stability-q", "--input", path, "--nodes", "all"]) == 0
     assert len(json.loads(capsys.readouterr().out)["nodes"]) == n
-    assert calls[0] == 1
+    assert counts == {"cost_function": 1, "_costs": 1, "_relay_sums": 1}
 
 
 @pytest.mark.parametrize("n", [10, 200])
@@ -484,6 +486,21 @@ def test_verify_certifies_where_the_simplex_failed(write_config, capsys):
     assert [row["status"] for row in rows] == ["optimal", "optimal"]
     for row in rows:
         assert row["lp"] == pytest.approx(row["closed_form"], rel=1e-14)
+
+
+def test_verify_gap_is_relative_to_the_energy(write_config, capsys):
+    # at volumes 1e9 the common energy is about 1.5e10, and the bound misses
+    # it by a few ulps, 1.9e-6 and 3.8e-6 in absolute terms
+    suite = write_config(
+        "suite.json",
+        {"n_values": [16], "exponents": [2.0, 3.0], "volumes": [[1e9] * 16], "random_q": 0},
+    )
+    assert main(["verify", "--input", suite]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["instances"]
+    assert [row["status"] for row in rows] == ["optimal", "optimal"]
+    assert all(0.0 < row["gap"] <= 1e-7 * row["closed_form"] for row in rows)
 
 
 def test_verify_failed_certificate_names_the_arc(write_config, capsys, monkeypatch):
@@ -679,7 +696,7 @@ def _verify_row_by_row(n, series, vectors, draws, seed, fmt) -> tuple[int, str, 
                     continue
                 cert = oracle.certify(inst)
                 gap = abs(sol.common_energy - cert.bound)
-                optimal = gap <= tol and cert.slack <= tol
+                optimal = cert.proves(sol.common_energy)
                 if not optimal:
                     cost = " + ".join(f"{lam:g}*s^{a:g}" for lam, a in one.terms)
                     err.append(
@@ -758,6 +775,14 @@ def test_verify_builds_one_lp_matrix_per_chain(write_config, capsys, monkeypatch
 
     for name in calls:
         monkeypatch.setattr(cli, name, counting(name))
+    costings = [0]
+    costs = perturbed._costs
+
+    def counted_costs(net):
+        costings[0] += 1
+        return costs(net)
+
+    monkeypatch.setattr(perturbed, "_costs", counted_costs)
     suite = write_config("suite.json", {
         "n_values": [4, 4], "exponents": [1.5, 2.0],
         "volumes": [[1.0] * 4, [1.2, 1.1, 1.3, 1.0], [1.0, 1.0, 1.0, 0.01]], "random_q": 0,
@@ -765,9 +790,10 @@ def test_verify_builds_one_lp_matrix_per_chain(write_config, capsys, monkeypatch
     assert main(["verify", "--input", suite]) == 3
     rows = json.loads(capsys.readouterr().out)["instances"]
     assert [row["status"] for row in rows] == ["optimal", "optimal", "outside_region"] * 4
-    # 12 rows: one matrix and one dual point per (n, exponent), HiGHS per
-    # outside row, the volume vectors parsed once per n
-    assert calls == {"formulate": 4, "lp_solve": 4, "certifier": 4, "_suite_volumes": 2}
+    # 12 rows: one matrix, one dual point and one costing per (n, exponent),
+    # HiGHS per outside row, the volume vectors parsed once per chain
+    assert calls == {"formulate": 4, "lp_solve": 4, "certifier": 4, "_suite_volumes": 4}
+    assert costings[0] == 4
 
 
 def test_sweep_volume_grid(write_config, capsys):

@@ -32,6 +32,7 @@ from chainlife import (
     system_determinant,
     volume_limits,
 )
+from chainlife import documents as docs
 from chainlife import perturbed
 from chainlife.cost import cost_function
 from chainlife.perturbed import BISECTION_TOL, BRACKET_MARGIN, sweep
@@ -39,6 +40,7 @@ from chainlife.validate import FLOW_ZERO_TOL
 from chainlife.validate import check_conservation
 
 from helpers import (
+    random_positive_volumes,
     random_series,
     reference_intervals,
     reference_solve,
@@ -806,3 +808,45 @@ def test_a_sweep_keeps_the_sign_of_a_zero_minimum():
     assert repr(perturbed._clamped_min([1.0, -0.0, 0.0, -5e-10])) == "-0.0"
     assert repr(perturbed._clamped_min([-5e-10, -0.0])) == "0.0"
     assert perturbed._clamped_min([-2e-9, -0.0]) == -2e-9
+
+
+def _solved_bytes(net: PerturbedNetwork) -> str:
+    try:
+        return docs.json_dumps(docs.solution_document(solve_equal_energy(net)))
+    except ChainlifeError as exc:
+        return repr(exc)
+
+
+def test_with_volumes_shares_the_costing_and_solves_as_a_new_network():
+    rng = np.random.default_rng(3131)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        shifts = tuple(float(d) for d in rng.uniform(-0.3, 0.3, n))
+        series = random_series(rng, max_terms=2)
+        chain = PerturbedNetwork(n, shifts, unit_region_volumes(rng, n), series)
+        q = random_positive_volumes(rng, n)
+        net = chain.with_volumes(q)
+        built = PerturbedNetwork(n, shifts, q, series)
+        assert net == built and net.costs is chain.costs
+        solved = _solved_bytes(net)
+        assert solved == _solved_bytes(built)
+        seen.add(solved.startswith("NegativeFlow"))
+    assert seen == {False, True}
+    chain = unit_perturbed(3, 2.0)
+    for bad in ((1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (1.0, math.nan, 1.0)):
+        with pytest.raises(ValueError) as shared:
+            chain.with_volumes(bad)
+        with pytest.raises(ValueError) as built:
+            PerturbedNetwork(3, chain.shifts, bad, chain.series)
+        assert str(shared.value) == str(built.value)
+
+
+def test_a_sweep_leaves_the_chain_costing_as_it_was():
+    volumes = (1.0, 1.2, 1.0, 1.1, 1.0)
+    net = PerturbedNetwork(5, (0.0, 0.2, 0.0, -0.1, 0.0), volumes, single_exponent_series(2.0))
+    costs = net.costs
+    for kind, grid in (("d", [-0.3, 0.0, 0.4]), ("Q", [0.5, 2.0])):
+        for i in range(1, net.n + 1):
+            sweep(net, kind, i, grid)
+    assert net.costs is costs and costs == perturbed._costs(net)
