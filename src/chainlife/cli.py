@@ -9,7 +9,8 @@ shifts outside the feasible region (a routing flow went negative),
 3 verification failure or numerical breakdown.  verify also exits 3, with
 no ``error:`` line, when any row is ``outside_region``, even when every
 check of its HiGHS optimum passed: it exits 0 only when every row is
-certified ``optimal``.
+certified ``optimal``.  A chain whose O(n^2) LP matrix cannot be allocated
+ends verify with one ``error:`` line naming n, and exit 3.
 """
 from __future__ import annotations
 
@@ -366,7 +367,11 @@ def _cmd_verify(args) -> int:
             cases = _suite_volumes(suite["volumes"], n)
             cases += [_random_unit_region_volumes(rng, n) for _ in range(draws)]
             if cases:
-                rows += _verify_chain(n, series, cases)
+                try:
+                    rows += _verify_chain(n, series, cases)
+                except MemoryError:
+                    message = f"the LP matrix of the n={n} chain does not fit in memory"
+                    raise ChainlifeError(message) from None
     if args.format == "csv":
         _write(args, docs.verify_csv(rows))
     else:

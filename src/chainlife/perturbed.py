@@ -10,12 +10,14 @@ flat lists, the costs D_i and L_i indexed by node and the flows it returns
 built per chain; a FlowMatrix is built only for a returned solution.  The
 stability question is how far a single node may move before that flow
 stops being feasible, and hence stops solving the minimax energy problem.
-A chain costs itself and sums its relays from both ends once, on first use
-(PerturbedNetwork.costs and .relay_sums), for every pass to read.  A move
-of one node changes only the three costs it touches, so a stability probe
-is O(1) once _relay_sums has summed up the rest of the chain; a sweep
-costs the chain once into lists of its own and reruns only the walk per
-grid point.
+A chain costs itself and sums each relay walk, outward from the collector
+and back from the far end, once on first use (PerturbedNetwork.costs,
+.forward_sums and .backward_sums), for every pass to read: the solve
+reads the outward sums alone.  A move of one node changes only the three
+costs it touches, so a stability probe is O(1) once the two walks have
+summed up the rest of the chain; a sweep costs the chain once into lists
+of its own and reruns only the outward walk (_forward_sums) and the
+solve per grid point.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
 
 BISECTION_TOL = 1e-10
 BRACKET_MARGIN = 1e-6
+_SINGULAR_HOP = "a zero or infinite hop cost makes the system singular"
 
 # a chain's costing as _costs returns it: D_i and L_i by node
 Costs = tuple[list[float], list[float]]
@@ -71,9 +74,30 @@ class PerturbedNetwork:
         return _costs(self)
 
     @cached_property
-    def relay_sums(self) -> tuple[list[float], ...]:
-        """The relay sums of both walks over the whole chain, _relay_sums from 0 to n + 1."""
-        return _relay_sums(self.volumes, *self.costs, 0, self.n + 1)
+    def forward_sums(self) -> tuple[list[float], list[float]]:
+        """The outward relay sums a and b of the chain's costing; see _forward_sums."""
+        return _forward_sums(self.volumes, *self.costs)
+
+    @cached_property
+    def backward_sums(self) -> tuple[list[float], list[float], list[float]]:
+        """The relay q_{k+1,k} as c[k] + e[k] E walking back from the far end, and s[k].
+
+        With s_k = 1 - L_k / D_k, the walk from the far end's zero relay
+        gives c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k
+        for k = n..2; c and e are zero from n on and s[k] is zero for k < 2.
+        A zero division, from a zero hop cost or from s_k = 0, raises
+        SingularMatrix.
+        """
+        (direct, left), volumes, n = self.costs, self.volumes, self.n
+        c, e, s = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 1)
+        try:
+            for k in range(n, 1, -1):
+                s[k] = shrink = 1.0 - left[k] / direct[k]
+                c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
+                e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
+        except ZeroDivisionError:
+            raise SingularMatrix(_SINGULAR_HOP) from None
+        return c, e, s
 
     def with_volumes(self, volumes: tuple[float, ...]) -> PerturbedNetwork:
         """This chain with other volumes, sharing its costing, which no volume enters."""
@@ -132,53 +156,47 @@ def _costs(net: PerturbedNetwork) -> Costs:
     return direct, left
 
 
-def _relay_sums(
-    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float], first: int, last: int
-) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
-    """The relay q_{k+1,k} as a[k] + b[k] E walking outward and c[k] + e[k] E walking back.
+def _forward_sums(
+    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """The relay q_{k+1,k} as a[k] + b[k] E walking outward over nodes 1..k, for k = 0..n.
 
-    With s_k = 1 - L_k / D_k, the forward walk over nodes 1..k gives
-    a_k = a_{k-1} s_k - Q_k and b_k = b_{k-1} s_k + 1 / D_k from a_0 = b_0 = 0,
-    for k < ``last``.  The backward walk from the far end's zero relay gives
-    c_{k-1} = (c_k + Q_k) / s_k and e_{k-1} = (e_k - 1 / D_k) / s_k for
-    k > ``first``; c and e are zero from n on and below ``first`` + 1.  The
-    backward walk's s_k come last, zero for k <= ``first`` + 1.  A zero
-    division, from a zero hop cost or from s_k = 0 on the way back, raises
-    SingularMatrix.
+    With s_k = 1 - L_k / D_k, a_k = a_{k-1} s_k - Q_k and
+    b_k = b_{k-1} s_k + 1 / D_k from a_0 = b_0 = 0.  A zero division, from
+    a zero hop cost, raises SingularMatrix.
     """
     n = len(volumes)
-    a, b = [0.0] * last, [0.0] * last
-    c, e, s = [0.0] * (n + 2), [0.0] * (n + 2), [0.0] * (n + 1)
+    a, b = [0.0] * (n + 1), [0.0] * (n + 1)
     try:
-        for k in range(1, last):
+        for k in range(1, n + 1):
             shrink = 1.0 - left[k] / direct[k]
             a[k] = a[k - 1] * shrink - float(volumes[k - 1])
             b[k] = b[k - 1] * shrink + 1.0 / direct[k]
-        for k in range(n, first + 1, -1):
-            s[k] = shrink = 1.0 - left[k] / direct[k]
-            c[k - 1] = (c[k] + float(volumes[k - 1])) / shrink
-            e[k - 1] = (e[k] - 1.0 / direct[k]) / shrink
     except ZeroDivisionError:
-        raise SingularMatrix("a zero or infinite hop cost makes the system singular") from None
-    return a, b, c, e, s
+        raise SingularMatrix(_SINGULAR_HOP) from None
+    return a, b
 
 
 def _equal_energy_flows(
-    volumes: Sequence[float], direct: Sequence[float], left: Sequence[float]
+    volumes: Sequence[float],
+    direct: Sequence[float],
+    left: Sequence[float],
+    forward: tuple[list[float], list[float]],
 ) -> tuple[list[float], list[float], float]:
     """Signed equal-energy flows on the chain support and their common energy E.
 
     direct[i] and left[i] are node i's costs to reach the collector and node
-    i - 1 (index 0 unused).  The forward relay sums (see _relay_sums) reach
-    the far end, where q_{n+1,n} = a_n + b_n E = 0 fixes E, and a second
-    walk evaluates the direct flows at that E.  Returns sent, relays and E:
+    i - 1 (index 0 unused), and ``forward`` their outward relay sums a, b
+    (see _forward_sums).  These reach the far end, where
+    q_{n+1,n} = a_n + b_n E = 0 fixes E, and a second walk evaluates the
+    direct flows at that E.  Returns sent, relays and E:
     sent[i] = q_{i,0} for i = 1..n and relays[i] = q_{i,i-1} for i = 2..n,
     the lower indices unused and zero.  Entries may be negative outside the
     feasible region.  The walk's order, direct flows 1..n and then relays
     n..2 (see _walk_order), decides which of tied flows is named.
     """
     n = len(volumes)
-    a, b, *_ = _relay_sums(volumes, direct, left, n, n + 1)
+    a, b = forward
     energy = -a[n] / b[n]  # b_n >= 1 / D_n > 0, or NaN, for a nonnegative cost
     sent = _direct_flows(volumes, direct, left, energy)
     # the relays again, summed from the far end where they are small, so
@@ -298,16 +316,16 @@ def solve_equal_energy(net: PerturbedNetwork, check_flows: bool = True) -> Equal
     """Solve the balance equations and package the equal-energy flow.
 
     The one solve for every chain, regular or shifted: the chain's costing
-    (net.costs), the linear-time walk, then the energy-spread check.  A zero
-    or infinite hop cost, or node energies that disagree after the walk,
-    raise SingularMatrix.  Outside the stability region the system still
+    and outward relay sums (net.costs, net.forward_sums), the linear-time
+    walk, then the energy-spread check.  A zero or infinite hop cost, or
+    node energies that disagree after the walk, raise SingularMatrix.  Outside the stability region the system still
     has a unique solution but some component is negative and the flow no
     longer solves the minimax problem.  With ``check_flows`` set (the
     default) that situation raises NegativeFlow; disabling the check
     returns the signed solution for boundary exploration.
     """
     direct, left = net.costs
-    sent, relays, energy = _equal_energy_flows(net.volumes, direct, left)
+    sent, relays, energy = _equal_energy_flows(net.volumes, direct, left, net.forward_sums)
     return _equal_energy_solution(sent, relays, energy, direct, left, check_flows)
 
 
@@ -430,25 +448,19 @@ def _narrow(window: tuple[float, float], *terms: tuple[float, float]) -> tuple[f
 
 
 def _shift_probes(
-    volumes: Sequence[float],
-    direct: Sequence[float],
-    left: Sequence[float],
-    first: int,
-    last: int,
-    cost: Callable[[float, float], float],
-    x: Sequence[float],
+    net: PerturbedNetwork, first: int, last: int, cost: Callable[[float, float], float]
 ) -> Callable[[int], Callable[[float], bool]]:
     """probe(i): an O(1) test of whether the walk's flows stay positive with node i shifted by d.
 
-    The d = 0 relay sums of _relay_sums are summed once for nodes
-    first..last, with their windows on E: head[k], for k < ``last``, is the
-    open window (lo, hi) inside which every flow component that the forward
-    walk over nodes 1..k fixes is positive (empty, with lo = +inf, if no E
-    makes one positive); tail[k], for k > ``first``, is the window of the
-    components fixed on nodes k..n by the backward walk.  Entries past n
-    are open windows; each node adds to them its direct flow and the relay
-    it leaves.  _relay_sums stops at the same bounds, so a one-node set-up
-    sums that node's two passes and no more.
+    ``net`` is the unshifted chain, whose relay sums at d = 0
+    (net.forward_sums and net.backward_sums) bound windows on E, built once
+    for nodes first..last: head[k], for k < ``last``, is the open window
+    (lo, hi) inside which every flow component that the forward walk over
+    nodes 1..k fixes is positive (empty, with lo = +inf, if no E makes one
+    positive); tail[k], for k > ``first``, is the window of the components
+    fixed on nodes k..n by the backward walk.  Entries past n are open
+    windows; each node adds to them its direct flow and the relay it
+    leaves.  So a one-node set-up builds that node's windows and no more.
 
     A move of node i changes only D_i, L_i and L_{i+1}.  The relay
     q_{i,i-1} = a + b E comes from the forward walk over nodes 1..i-1, and
@@ -457,13 +469,14 @@ def _shift_probes(
     in E with fixed coefficients, and their positivity is one open window
     lo < E < hi, the head window before node i met with the tail window
     after node i + 1.  probe(i) returns feasible(d), which costs node i
-    moved to i - d with _move_node on the chain's cost function ``cost``
-    and unshifted coordinates ``x``, solves for E and checks the window and
-    the three remaining components; a zero division, or a moved cost beyond
-    the float range, fails it.
+    moved to i - d with _move_node on the cost function ``cost``, solves
+    for E and checks the window and the three remaining components; a zero
+    division, or a moved cost beyond the float range, fails it.
     """
-    n = len(volumes)
-    a, b, c, e, _ = _relay_sums(volumes, direct, left, first, last)
+    n, volumes, x = net.n, net.volumes, net.positions().x
+    direct, left = net.costs
+    a, b = net.forward_sums
+    c, e, _ = net.backward_sums
     head, tail = [_OPEN] * last, [_OPEN] * (n + 3)
     for k in range(1, last):
         flow = (-a[k - 1] * left[k] / direct[k], (1.0 - b[k - 1] * left[k]) / direct[k])
@@ -536,9 +549,10 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
 
     The set-up is shared by all nodes: the unshifted chain is costed once,
     walked once at d = 0, where NegativeFlow names the most negative
-    component, and summed once from both ends (see _shift_probes).  A probe
-    at shift d then recomputes only D_i, L_i and L_{i+1}, the costs node
-    i's move touches, in O(1), and changes no list of the set-up.  The
+    component, and summed once from each end (its forward_sums and
+    backward_sums; see _shift_probes).  A probe at shift d then recomputes
+    only D_i, L_i and L_{i+1}, the costs node i's move touches, in O(1),
+    and changes no list of the set-up.  The
     probe alone decides every shift: the d = 0 walk, with its energy-spread
     check, is the only walk, so all nodes cost O(n) plus O(1) per probe.
     """
@@ -552,11 +566,10 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     if not nodes:
         return []
     # every probe replaces node i's own shift, so the set-up is the unshifted chain's
-    template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series) if shifted else net
+    template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series)
     direct, left = template.costs
-    x, cost, volumes = template.positions().x, cost_function(net.series), net.volumes
     try:
-        sent, relays, _ = _equal_energy_flows(volumes, direct, left)
+        sent, relays, _ = _equal_energy_flows(net.volumes, direct, left, template.forward_sums)
         _checked_energies(sent, relays, direct, left)
     except SingularMatrix:  # an ill-conditioned walk counts as infeasible
         raise NegativeFlow((nodes[0], 0), -math.inf, "solved flow not positive at d = 0") from None
@@ -566,7 +579,7 @@ def numeric_d_intervals(net: PerturbedNetwork, nodes: Sequence[int]) -> list[Sta
     if not lowest > 0.0:
         worst = _walk_key(flows.index(lowest), net.n)
         raise NegativeFlow(worst, lowest, "solved flow not positive at d = 0")
-    probes = _shift_probes(volumes, direct, left, min(nodes), max(nodes), cost, x)
+    probes = _shift_probes(template, min(nodes), max(nodes), cost_function(net.series))
     intervals = []
     for i in nodes:
         feasible = probes(i)
@@ -588,11 +601,11 @@ def sweep(
 
     ``kind`` is "Q" or "d" and index is a node in 1..n.  The chain is costed
     once, into lists of the sweep's own that it writes, not net.costs: a
-    volume point reruns only the walk, and a shift point recosts
-    D_index, L_index and L_index+1 first.  Each point runs the energy-spread
-    check and reads its smallest flow after FlowMatrix's clamp, the first
-    of tied flows in the walk's order, so that a zero keeps its sign (see
-    _clamped_min); no FlowMatrix is built.  The energy is None where that
+    volume point reruns only the outward relay sums and the walk, and a
+    shift point recosts D_index, L_index and L_index+1 first.  Each point
+    runs the energy-spread check and reads its smallest flow after
+    FlowMatrix's clamp, the first of tied flows in the walk's order, so
+    that a zero keeps its sign (see _clamped_min); no FlowMatrix is built.  The energy is None where that
     flow is below -FLOW_ZERO_TOL.  A volume that is not positive, a shift
     outside (-1, 1) or one that moves the node past a neighbour raise
     ValueError; node energies that disagree raise SingularMatrix.
@@ -619,7 +632,8 @@ def sweep(
             direct[index], left[index], hop = _move_node(cost, x, index, value)
             if hop is not None:
                 left[index + 1] = hop
-        sent, relays, energy = _equal_energy_flows(volumes, direct, left)
+        forward = _forward_sums(volumes, direct, left)
+        sent, relays, energy = _equal_energy_flows(volumes, direct, left, forward)
         _checked_energies(sent, relays, direct, left)
         min_flow = _clamped_min(_walk_order(sent, relays))
         rows.append((value, energy if min_flow >= -FLOW_ZERO_TOL else None, min_flow))

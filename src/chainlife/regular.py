@@ -5,9 +5,10 @@ energy is attained by a flow in which each node splits its traffic between
 the collector and its left neighbour so that all nodes spend exactly the
 same energy per round.  That split is the one linear-time solve of
 chainlife.perturbed; this module holds the boundaries of the volume region
-where it stays feasible, read off PerturbedNetwork.costs and .relay_sums,
-and the paper's closed forms for the common energy of the regular chain,
-kept as references that the tests check against the solve.
+where it stays feasible, read off PerturbedNetwork.costs and its relay
+sums (.forward_sums, and .backward_sums for the limits), and the paper's
+closed forms for the common energy of the regular chain, kept as
+references that the tests check against the solve.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def node_energy_closed_form(net: PerturbedNetwork) -> float:
 
 def raw_flows(net: PerturbedNetwork) -> dict[tuple[int, int], float]:
     """Flow components without feasibility checks, in the walk's order; diagnostic use only."""
-    sent, relays, _ = _equal_energy_flows(net.volumes, *net.costs)
+    sent, relays, _ = _equal_energy_flows(net.volumes, *net.costs, net.forward_sums)
     flows = {(i, 0): sent[i] for i in range(1, net.n + 1)}
     flows.update(((i, i - 1), relays[i]) for i in range(net.n, 1, -1))
     return flows
@@ -85,12 +86,12 @@ def check_q_constraints(net: PerturbedNetwork) -> bool:
     need not meet it: on n = 3 with cost s**2 and volumes (2, 0.25, 1) every
     flow is positive, but Q_2 = 0.25 < q_{2,0} = 0.5.  Strict inequalities
     are tested with a 1e-12 slack.  The direct flows are the solve's, from
-    the forward relay sums of the chain's net.relay_sums, which
-    volume_limits reads too.
+    the chain's outward relay sums net.forward_sums, which volume_limits
+    reads too; the backward walk is not needed.
     """
     if net.volumes[0] < 1.0 - Q_CONSTRAINT_TOL:
         return False
-    a, b, *_ = net.relay_sums
+    a, b = net.forward_sums
     sent = _direct_flows(net.volumes, *net.costs, -a[net.n] / b[net.n])
     return all(q > flow - Q_CONSTRAINT_TOL for q, flow in zip(net.volumes[1:], sent[2:]))
 
@@ -100,14 +101,15 @@ def _finite(value: float) -> float | None:
 
 
 def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
-    """Q_i^max of every node i < N and Q_N^min, from the chain's costing and relay sums.
+    """Q_i^max of every node i < N and Q_N^min, from the chain's costing and both relay walks.
 
     Entry i - 1 is node i's limit with the other volumes fixed, None where
     it is not finite (a zero slope or an overflow).  Every flow is affine
-    in each volume.  From net.relay_sums, E = -a_N / b_N with
+    in each volume.  From net.forward_sums, E = -a_N / b_N with
     -a_N = sum_k Q_k P_k and P_k = prod_{m>k} s_m, and the backward sums
-    c_i + e_i E of the relay q_{i+1,i} are free of Q_i.  So that relay
-    vanishes at Q_i^max = -(c_i b_N + e_i (H_i + T_i)) / (e_i P_i), where
+    c_i + e_i E of the relay q_{i+1,i} (net.backward_sums) are free of
+    Q_i.  So that relay vanishes at
+    Q_i^max = -(c_i b_N + e_i (H_i + T_i)) / (e_i P_i), where
     H_i = -a_{i-1} P_{i-1} sums Q_j P_j over j < i and T_i over j > i.  At
     Q_N^min node N sends all it holds directly, so nodes 1..N-1 form a
     chain of their own and Q_N^min = E_{N-1} / D_N with
@@ -119,7 +121,8 @@ def volume_limits(net: PerturbedNetwork) -> tuple[float | None, ...]:
         return (0.0,)
     direct = net.costs[0]
     volumes = [float(q) for q in net.volumes]
-    a, b, c, e, s = net.relay_sums
+    a, b = net.forward_sums
+    c, e, s = net.backward_sums
     values: list[float | None] = [None] * n
     values[n - 1] = _finite(-a[n - 1] / b[n - 1] / direct[n])
     suffix, tail = 1.0, 0.0  # P_i and T_i, from i = N down

@@ -65,8 +65,8 @@ class FlowMatrix:
         sent[i] is q_{i,0} for i = 1..n and relays[i] is q_{i,i-1} for
         i = 2..n (lower indices unused), floats that the walk computed.
         The columns are assembled by slices in the sorted key order (1, 0),
-        (2, 0), (2, 1), ..., (n, 0), (n, n - 1); the clamp runs only when
-        some amount is negative (or the first is NaN), and keeps a -0.0.
+        (2, 0), (2, 1), ..., (n, 0), (n, n - 1); the clamp keeps a -0.0
+        and a NaN.
         """
         n = len(sent) - 1
         size = 2 * n - 1
@@ -78,9 +78,8 @@ class FlowMatrix:
         amounts[0] = sent[1]
         amounts[1::2] = sent[2:]
         amounts[2::2] = relays[2:]
-        if not min(amounts) >= 0.0:
-            low = -FLOW_ZERO_TOL
-            amounts = [0.0 if low <= q < 0.0 else q for q in amounts]
+        low = -FLOW_ZERO_TOL
+        amounts = [0.0 if low <= q < 0.0 else q for q in amounts]
         flow = cls.__new__(cls)
         flow.n = n
         flow._senders, flow._receivers = tuple(senders), tuple(receivers)

@@ -174,7 +174,8 @@ def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]
     if not nodes:
         return []
     template = PerturbedNetwork(net.n, (0.0,) * net.n, net.volumes, net.series)
-    direct, left = reference_costs(template)
+    # the reference costing becomes the template's own, as with_volumes shares one
+    template.__dict__["costs"] = direct, left = reference_costs(template)
     x, series, volumes = template.positions().x, net.series, net.volumes
 
     def walk(i):
@@ -190,8 +191,7 @@ def reference_intervals(net: PerturbedNetwork, nodes) -> list[StabilityInterval]
     if not q[worst] > 0.0:
         raise NegativeFlow(worst, q[worst], "solved flow not positive at d = 0")
     probes = perturbed._shift_probes(
-        volumes, direct, left, min(nodes), max(nodes),
-        lambda xi, xj: transmission_cost(series, xi, xj), x,
+        template, min(nodes), max(nodes), lambda xi, xj: transmission_cost(series, xi, xj)
     )
 
     def interval(i):

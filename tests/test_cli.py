@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -376,13 +377,14 @@ def test_stability_d_subset_and_guards(write_config, capsys):
     assert main(["stability-d", "--input", nonunit]) == 1
 
 
-@pytest.mark.parametrize("n", [10, 500])
-def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, monkeypatch, n):
-    # every node's limit and the q-constraint check read the chain's one
-    # costing and one relay summation, whatever the node count; a costing
-    # builds the chain's cost function once
-    counts = {"cost_function": 0, "_costs": 0, "_relay_sums": 0}
-    for name in counts:
+def _counted_walks(monkeypatch, *names: str) -> dict[str, int]:
+    """Calls of perturbed's ``names`` and of the backward walk, patched where they are looked up.
+
+    The backward walk is the body of the cached property
+    PerturbedNetwork.backward_sums, so the count is of its computations.
+    """
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(perturbed, name)
 
         def counted(*args, _name=name, _original=original):
@@ -390,30 +392,64 @@ def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, m
             return _original(*args)
 
         monkeypatch.setattr(perturbed, name, counted)
+    counts["backward_sums"] = 0
+    backward = PerturbedNetwork.backward_sums.func
+
+    def counted_backward(net):
+        counts["backward_sums"] += 1
+        return backward(net)
+
+    walk = functools.cached_property(counted_backward)
+    walk.__set_name__(PerturbedNetwork, "backward_sums")
+    monkeypatch.setattr(PerturbedNetwork, "backward_sums", walk)
+    return counts
+
+
+@pytest.mark.parametrize("n", [10, 500])
+def test_stability_q_costs_the_chain_once_for_all_limits(write_config, capsys, monkeypatch, n):
+    # every node's limit and the q-constraint check read the chain's one
+    # costing and one summation of each relay walk, whatever the node count;
+    # a costing builds the chain's cost function once
+    counts = _counted_walks(monkeypatch, "cost_function", "_costs", "_forward_sums")
     path = write_config("net.json", quadratic_chain(n))
     assert main(["stability-q", "--input", path, "--nodes", "all"]) == 0
     assert len(json.loads(capsys.readouterr().out)["nodes"]) == n
-    assert counts == {"cost_function": 1, "_costs": 1, "_relay_sums": 1}
+    assert counts == {"cost_function": 1, "_costs": 1, "_forward_sums": 1, "backward_sums": 1}
 
 
 @pytest.mark.parametrize("n", [10, 200])
 def test_stability_d_shares_one_set_up(write_config, capsys, monkeypatch, n):
-    # the chain is costed once for all nodes and walked once, at d = 0; the
-    # nodes' probes are O(1) and walk nothing
-    counts = {"_costs": 0, "_equal_energy_flows": 0}
-    for name in counts:
-        original = getattr(perturbed, name)
-
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(perturbed, name, counted)
+    # the chain is costed once for all nodes, summed once from each end and
+    # walked once, at d = 0; the nodes' probes are O(1) and walk nothing
     path = write_config("net.json", quadratic_chain(n))
-    assert main(["stability-d", "--input", path, "--nodes", "all"]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == n
-    assert counts["_costs"] == 1
-    assert counts["_equal_energy_flows"] == 1
+    for nodes, rows in (("all", n), (str(n // 2), 1)):
+        counts = _counted_walks(monkeypatch, "_costs", "_forward_sums", "_equal_energy_flows")
+        assert main(["stability-d", "--input", path, "--nodes", nodes]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == rows
+        assert counts == {
+            "_costs": 1, "_forward_sums": 1, "_equal_energy_flows": 1, "backward_sums": 1
+        }, nodes
+
+
+def test_solves_sweeps_and_verify_run_no_backward_walk(write_config, capsys, monkeypatch):
+    # only the stability passes read the walk from the far end; a sweep sums
+    # the outward walk once per grid point and a verify row once per vector
+    regular = write_config("net.json", quadratic_chain(6))
+    shifted = write_config("shifted.json", quadratic_chain(6, shifts=[0.0, 0.05, 0, 0, 0, 0]))
+    suite = write_config("suite.json", {"n_values": [3, 5], "exponents": [2.0],
+                                        "volumes": "unit", "random_q": 2})
+    calls = [
+        (["solve-regular", "--input", regular], 1),
+        (["solve-perturbed", "--input", shifted], 1),
+        (["sweep", "--input", shifted, "--param", "d2", "--grid", "0:0.2:0.05"], 5),
+        (["sweep", "--input", regular, "--param", "Q6", "--grid", "0.5:2:0.5"], 4),
+        (["verify", "--input", suite], 6),
+    ]
+    for argv, walks in calls:
+        counts = _counted_walks(monkeypatch, "_forward_sums")
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert counts == {"_forward_sums": walks, "backward_sums": 0}, argv
 
 
 def test_stability_d_all_nodes_print_the_one_node_rows(write_config, capsys):
@@ -602,6 +638,31 @@ def test_verify_outside_row_with_a_failed_dual_check_exits_3(write_config, capsy
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "arc (2, 1)" in lines[0]
+
+
+def test_verify_reports_an_lp_matrix_that_cannot_be_allocated(write_config):
+    # n = 30000 needs 6.7 GiB per dense n x n array.  The child always caps
+    # its address space at 3 GiB (or a lower hard limit) before chainlife
+    # is imported, so the allocation is refused at once and nothing that
+    # large is ever held
+    pytest.importorskip("resource")
+    suite = write_config("suite.json", {"n_values": [30000], "exponents": [2.0],
+                                        "volumes": "unit"})
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from chainlife.cli import main\n"
+        f"sys.exit(main(['verify', '--input', {suite!r}]))\n"
+    )
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: the LP matrix of the n=30000 chain does not fit in memory"
+    ]
 
 
 def test_verify_and_solve_leave_scipy_unloaded(write_config):

@@ -204,9 +204,7 @@ def test_zero_hop_cost_is_singular():
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
         volume_limits(net)
     with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
-        perturbed._shift_probes(
-            net.volumes, *perturbed._costs(net), 1, 2, cost_function(net.series), net.positions().x
-        )
+        perturbed._shift_probes(net, 1, 2, cost_function(net.series))
 
 
 def test_zero_shift_solution_matches_regular_closed_form():
@@ -452,10 +450,9 @@ def test_shift_probe_decides_as_the_full_solve():
         n = int(rng.integers(1, 16))
         volumes = tuple(float(v) for v in rng.uniform(0.1, 3.0, size=n))
         net = PerturbedNetwork(n, (0.0,) * n, volumes, random_series(rng))
-        x, cost = net.positions().x, cost_function(net.series)
-        direct, left = perturbed._costs(net)
+        cost = cost_function(net.series)
         for i in range(1, n + 1):
-            probe = perturbed._shift_probes(volumes, direct, left, i, i, cost, x)(i)
+            probe = perturbed._shift_probes(net, i, i, cost)(i)
             for d in rng.uniform(-0.999, 0.999, size=10):
                 shifts = [0.0] * n
                 shifts[i - 1] = float(d)
@@ -471,31 +468,13 @@ def test_shift_probe_decides_as_the_full_solve():
     assert window > 0 and relay > 0
 
 
-def test_relay_sums_have_full_length_and_zeros_where_no_walk_reaches():
-    # c, e and s have full length on every call, zero where the backward
-    # walk does not reach, which is everywhere when first + 1 >= n (the solve)
-    net = PerturbedNetwork(5, (0.0,) * 5, (1.0, 1.3, 0.8, 1.1, 1.2), single_exponent_series(2.0))
-    direct, left = perturbed._costs(net)
-    full = perturbed._relay_sums(net.volumes, direct, left, 0, 6)
-    for first in (0, 2, 3, 4, 5):
-        a, b, c, e, s = perturbed._relay_sums(net.volumes, direct, left, first, 6)
-        assert [len(x) for x in (a, b, c, e, s)] == [6, 6, 7, 7, 6]
-        assert (a, b) == full[:2]
-        assert (c[first + 1:], e[first + 1:]) == (full[2][first + 1:], full[3][first + 1:])
-        assert s[first + 2:] == full[4][first + 2:]
-        assert not any(c[:first + 1] + e[:first + 1] + s[:first + 2])
-
-
 def test_a_term_no_energy_makes_positive_empties_the_window():
     assert perturbed._narrow((-1.0, 2.0), (0.0, 0.0), (1.0, 1.0)) == (math.inf, 2.0)
     assert perturbed._narrow((math.inf, 2.0), (-3.0, 1.0)) == (math.inf, 2.0)
     assert perturbed._narrow(perturbed._OPEN, (math.nan, 1.0)) == perturbed._OPEN
     # Q_1 L_2 / D_2 underflows, so the direct flow q_{2,0} is the constant 0
     net = PerturbedNetwork(4, (0.0,) * 4, (5e-324, 1.0, 1.0, 1.0), single_exponent_series(2.0))
-    direct, left = perturbed._costs(net)
-    probes = perturbed._shift_probes(
-        net.volumes, direct, left, 1, 4, cost_function(net.series), net.positions().x
-    )
+    probes = perturbed._shift_probes(net, 1, 4, cost_function(net.series))
     assert solve_equal_energy(net, check_flows=False).flow.min_entry() == 0.0
     # nodes 3 and 4 read the empty head window of nodes 1..2 at their own d = 0 costs
     assert not probes(3)(0.0)
@@ -548,9 +527,7 @@ def test_numeric_interval_where_the_walk_rounds_the_last_flow_the_other_way():
     )
     volumes = (0.012751681926674833, 442.64656740034656, 0.005142906096523676)
     net = PerturbedNetwork(3, (0.0,) * 3, volumes, series)
-    direct, left = perturbed._costs(net)
-    x, cost = net.positions().x, cost_function(series)
-    probe = perturbed._shift_probes(volumes, direct, left, 2, 2, cost, x)(2)
+    probe = perturbed._shift_probes(net, 2, 2, cost_function(series))(2)
     good, edge = perturbed._bisect(probe, 1.0 - BRACKET_MARGIN)
     moved = PerturbedNetwork(3, (0.0, good, 0.0), volumes, series)
     assert _walked(moved)[2] < 0.0  # q_{3,0} in the walk's order
@@ -781,7 +758,7 @@ def test_the_list_walk_matches_the_dict_walk():
 
 
 def _walked(net: PerturbedNetwork) -> list[float]:
-    sent, relays, _ = perturbed._equal_energy_flows(net.volumes, *perturbed._costs(net))
+    sent, relays, _ = perturbed._equal_energy_flows(net.volumes, *net.costs, net.forward_sums)
     return perturbed._walk_order(sent, relays)
 
 

@@ -13,6 +13,7 @@ from chainlife import (
     NegativeFlow,
     PerturbedNetwork,
     RegularNetwork,
+    SingularMatrix,
     build_cost_series,
     check_q_constraints,
     energy_bounds_perturbed,
@@ -28,7 +29,7 @@ from chainlife import (
     unit_hop_costs,
     volume_limits,
 )
-from chainlife.perturbed import _costs, _equal_energy_flows, _relay_sums
+from chainlife.perturbed import _costs, _equal_energy_flows, _forward_sums
 from chainlife.regular import Q_CONSTRAINT_TOL, _closed_form_energy
 
 from helpers import random_positive_volumes, random_series, unit_region_volumes
@@ -122,8 +123,8 @@ def test_q_constraints_gate():
 
 
 def test_q_constraints_and_limits_from_one_relay_summation():
-    # stability-q sums the relays once for both; the forward sums a, b that
-    # the limits need are the solve's, so the direct flows are the solve's too
+    # the check reads the chain's outward relay sums a, b, which the limits
+    # read too; they are the solve's, so the direct flows are the solve's too
     rng = np.random.default_rng(2027)
     seen = set()
     for _ in range(80):
@@ -133,16 +134,25 @@ def test_q_constraints_and_limits_from_one_relay_summation():
             volumes = (1.0 + float(rng.random()),) + volumes[1:]
         net = RegularNetwork(n, volumes, random_series(rng, max_terms=2))
         costs = _costs(net)
-        sums = _relay_sums(volumes, *costs, 0, n + 1)
-        assert sums[:2] == _relay_sums(volumes, *costs, n, n + 1)[:2]
-        sent, _, _ = _equal_energy_flows(volumes, *costs)
+        forward = _forward_sums(volumes, *costs)
+        sent, _, _ = _equal_energy_flows(volumes, *costs, forward)
         expected = not volumes[0] < 1.0 - Q_CONSTRAINT_TOL and all(
             q > flow - Q_CONSTRAINT_TOL for q, flow in zip(volumes[1:], sent[2:])
         )
         assert check_q_constraints(net) is expected
-        assert net.relay_sums == sums
+        assert net.forward_sums == forward
         seen.add(expected)
     assert seen == {False, True}
+
+
+def test_q_constraints_need_no_backward_walk():
+    # node 1 a float step from the collector: L_2 rounds to D_2, so s_2 = 0
+    # and the backward walk divides by zero.  The check reads only the
+    # outward sums and answers; the limits read both walks and raise
+    net = PerturbedNetwork(3, (1.0 - 2.0**-53, 0.0, 0.0), (1.0,) * 3, single_exponent_series(2.0))
+    assert check_q_constraints(net) is True
+    with pytest.raises(SingularMatrix, match="zero or infinite hop cost"):
+        volume_limits(net)
 
 
 def test_far_node_minimum_volume():
