@@ -15,11 +15,14 @@ ends verify with one ``error:`` line naming n, and exit 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import re
+import stat
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import documents as docs
 from .errors import (
@@ -97,15 +100,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.output}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+def _write(args, parts: Iterable[str]) -> None:
+    """Write a document's parts to --output, or to stdout, one part at a time.
+
+    A document that fails while it streams leaves no output file: the file
+    is closed and removed, unless it is not a regular file (a device such as
+    /dev/null, or a link), and the error raised again, an OSError as a
+    ConfigError.  A file that cannot be opened is a ConfigError too.
+    """
+    if not args.output:
+        sys.stdout.writelines(parts)
+        return
+    try:
+        handle = open(args.output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _cannot_write(args.output, exc) from None
+    try:
+        with handle:
+            handle.writelines(parts)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(args.output).st_mode):
+                os.remove(args.output)
+        if isinstance(exc, OSError):
+            raise _cannot_write(args.output, exc) from None
+        raise
+
+
+def _cannot_write(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _require_input(args) -> str:
@@ -199,9 +222,9 @@ def _cmd_solve(args) -> int:
         print(f"error: {_out_of_region_message(net, exc)}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        _write(args, docs.solution_csv(sol))
+        _write(args, docs.solution_csv_parts(sol))
     else:
-        _write(args, docs.json_dumps(docs.solution_document(sol)))
+        _write(args, docs.json_parts(docs.solution_document(sol)))
     return 0
 
 
@@ -217,9 +240,9 @@ def _cmd_stability_q(args) -> int:
     ok = check_q_constraints(net)
     unit_region = stability_region_Q_check(net) if net.n >= 3 else None
     if args.format == "csv":
-        _write(args, docs.stability_q_csv(rows))
+        _write(args, docs.stability_q_csv_parts(rows))
     else:
-        _write(args, docs.json_dumps(docs.stability_q_document(rows, ok, unit_region)))
+        _write(args, docs.json_parts(docs.stability_q_document(rows, ok, unit_region)))
     return 0
 
 
@@ -231,9 +254,9 @@ def _cmd_stability_d(args) -> int:
     intervals = numeric_d_intervals(net, nodes)
     rows = [(i, stability_bounds_d(net.n, i), numeric) for i, numeric in zip(nodes, intervals)]
     if args.format == "csv":
-        _write(args, docs.stability_d_csv(rows))
+        _write(args, docs.stability_d_csv_parts(rows))
     else:
-        _write(args, docs.json_dumps(docs.stability_d_document(rows, net.series)))
+        _write(args, docs.json_parts(docs.stability_d_document(rows, net.series)))
     return 0
 
 
@@ -373,9 +396,9 @@ def _cmd_verify(args) -> int:
                     message = f"the LP matrix of the n={n} chain does not fit in memory"
                     raise ChainlifeError(message) from None
     if args.format == "csv":
-        _write(args, docs.verify_csv(rows))
+        _write(args, docs.verify_csv_parts(rows))
     else:
-        _write(args, docs.json_dumps(docs.verify_document(rows, DEFAULT_VERIFY_TOL)))
+        _write(args, docs.json_parts(docs.verify_document(rows, DEFAULT_VERIFY_TOL)))
     return 0 if all(row["status"] == "optimal" for row in rows) else 3
 
 
@@ -396,9 +419,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:  # a grid value outside the chain's domain
         raise ConfigError(str(exc)) from None
     if args.format == "csv":
-        _write(args, docs.sweep_csv(rows))
+        _write(args, docs.sweep_csv_parts(rows))
     else:
-        _write(args, docs.json_dumps(docs.sweep_document(rows)))
+        _write(args, docs.json_parts(docs.sweep_document(rows)))
     return 0
 
 

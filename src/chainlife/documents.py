@@ -4,30 +4,46 @@ JSON output formats reals with 17 significant digits (exact float round
 trip); CSV output uses 12.  Both writers are deterministic: same inputs,
 same bytes.  Apart from the reals, a JSON document reads as the standard
 library's ``json.dumps(doc, indent=2)`` plus a newline, and tuples are
-lists.  The serializer builds each container's text from its children's,
-and picks a scalar's text by its exact type; subclasses such as
+lists.  A scalar's text is picked by its exact type; subclasses such as
 ``numpy.float64`` take the isinstance checks instead.
+
+Every writer yields its document in parts, and the CLI writes the parts
+to the output as they come, so no command holds its whole document.
+json_parts walks the document in order, a container's opening, its
+children and its closing, and collects their texts; it yields what it
+has collected before the first block of a solution's flows, after every
+BLOCK_ROWS items of a list, and at the end, so a small document is one
+part.  csv_parts yields the header line and then blocks of BLOCK_ROWS
+lines.  json_dumps, csv_text and the ``*_csv`` functions join the same
+parts into one string.  With cost 0.4 s^1.5 + 0.6 s^2.5 and volumes in
+[1, 1.5), ``solve-regular`` through cli.main peaked at 9.95 MB traced at
+n = 10^4 and 100.6 MB at n = 10^5 in JSON (5.42 and 55.1 MB in CSV) when
+each document was one string, built again at each nesting level; written
+in parts it peaks at 4.24 and 42.4 MB in either format, the peak of
+loading and solving the chain alone.
 
 Two kinds of value are written with one ``%`` format, because they are
 the ones the benchmark's workloads write at length.  A solution's flows
 take the column path: solution_document puts the solution's FlowMatrix
-itself under ``"flows"``, and json_dumps and solution_csv write its
-senders, receivers and amounts straight from the matrix's columns over a
-repeated row template, a ``{"from", "to", "amount"}`` object in JSON and
-``from,to,amount`` in CSV.  No per-flow dict or row is built and no shape
-is checked: a FlowMatrix holds int indices and float amounts by
-construction.  And a JSON list of exact floats (a solution's node
-energies, verify's volumes) is joined with one ``"%.17g"``, which runs the
-same float formatter as ``format(x, ".17g")``.  Both check the reals'
-finiteness first.  Every other list and every CSV row is written value by
-value.
+itself under ``"flows"``, and the JSON writer and solution_csv_parts
+write its senders, receivers and amounts straight from the matrix's
+columns over a repeated row template, a ``{"from", "to", "amount"}``
+object in JSON and ``from,to,amount`` in CSV, in blocks of BLOCK_ROWS
+rows, one ``%`` format over slices of the three columns per block.  No
+per-flow dict or row is built and no shape is checked: a FlowMatrix holds
+int indices and float amounts by construction.  And a JSON list of exact
+floats (a solution's node energies, verify's volumes) is written whole,
+brackets included, with one ``"%.17g"`` per item, which runs the same
+float formatter as ``format(x, ".17g")``.  Both check that all their
+reals are finite before they write any of them.  Every other list and
+every CSV row is written value by value.
 """
 from __future__ import annotations
 
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cost import CostSeries, build_cost_series, series_to_terms
 from .errors import ChainlifeError, ConfigError
@@ -138,7 +154,7 @@ def _json_real(value: float) -> str:
 
 
 # texts of the scalar types, looked up by exact type; subclasses such as
-# numpy.float64 fall through to the isinstance chain of _text
+# numpy.float64 fall through to the isinstance chain of _scalar
 _SCALAR_TEXT = {
     float: _json_real,
     int: int.__repr__,
@@ -147,51 +163,15 @@ _SCALAR_TEXT = {
     type(None): lambda value: "null",
 }
 
-
-def _float_run(items: Sequence[Any], inner: str) -> str | None:
-    """JSON texts of a list's items joined by ",\n" + inner, in one format call.
-
-    None unless every item is an exact float; a non-finite one raises
-    ValueError, as on the value-by-value path.
-    """
-    if set(map(type, items)) != {float}:
-        return None
-    if not all(map(math.isfinite, items)):
-        raise ValueError("documents only carry finite reals")
-    return (",\n" + inner).join(["%.17g"] * len(items)) % tuple(items)
+# flows, CSV lines or JSON list items per part: a block of flows is about
+# 90 KB of JSON or 22 KB of CSV, far less than a large solution's document
+BLOCK_ROWS = 1024
 
 
-def _text(value: Any, pad: str) -> str:
-    """JSON text of a value whose opening line is indented by pad."""
+def _scalar(value: Any) -> str:
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         return scalar(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = []
-        for key, item in value.items():
-            scalar = _SCALAR_TEXT.get(type(item))
-            body = scalar(item) if scalar is not None else _text(item, inner)
-            items.append(f"{inner}{_quote(str(key))}: {body}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        body = _float_run(value, inner)
-        if body is None:
-            body = (",\n" + inner).join([_text(item, inner) for item in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, FlowMatrix):
-        cells = _flow_cells(value)
-        if not cells:
-            return "[]"
-        inner, field = pad + "  ", pad + "    "
-        row = f'{{\n{field}"from": %d,\n{field}"to": %d,\n{field}"amount": %.17g\n{inner}}}'
-        body = (",\n" + inner).join([row] * (len(cells) // 3)) % cells
-        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -201,14 +181,109 @@ def _text(value: Any, pad: str) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _float_run(items: Sequence[Any], pad: str) -> str | None:
+    """JSON text of a nonempty list whose opening line is indented by pad, in
+    one format call, brackets included.
+
+    None unless every item is an exact float; a non-finite one raises
+    ValueError, as on the value-by-value path.
+    """
+    if set(map(type, items)) != {float}:
+        return None
+    if not all(map(math.isfinite, items)):
+        raise ValueError("documents only carry finite reals")
+    inner = pad + "  "
+    body = (",\n" + inner).join(["%.17g"] * len(items))
+    return f"[\n{inner}{body}\n{pad}]" % tuple(items)
+
+
+def _parts(value: Any, pad: str, out: list[str]) -> Iterator[str]:
+    """Append the JSON text of a value whose opening line is indented by pad
+    to out; before a flow's first block and after every BLOCK_ROWS items of
+    a list, yield out's text as a part and clear out.
+
+    So a document of scalars and small containers is one part, and no part
+    holds more than a block of list items (a float list is one item).
+    """
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{\n" + inner, ",\n" + inner
+        for key, item in value.items():
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                out.append(f"{sep}{_quote(str(key))}: {scalar(item)}")
+            else:
+                out.append(f"{sep}{_quote(str(key))}: ")
+                yield from _parts(item, inner, out)
+            sep = comma
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        run = _float_run(value, pad)
+        if run is not None:
+            out.append(run)
+            return
+        inner = pad + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        for k, item in enumerate(value, 1):
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                out.append(sep + scalar(item))
+            else:
+                out.append(sep)
+                yield from _parts(item, inner, out)
+            if not k % BLOCK_ROWS:
+                yield _drain(out)
+            sep = comma
+        out.append("\n" + pad + "]")
+    elif isinstance(value, FlowMatrix):
+        if not value.columns()[0]:
+            out.append("[]")
+            return
+        inner, field = pad + "  ", pad + "    "
+        row = f'{{\n{field}"from": %d,\n{field}"to": %d,\n{field}"amount": %.17g\n{inner}}}'
+        out.append("[")
+        yield _drain(out)
+        yield from _flow_blocks(value, "\n" + inner + row, ",\n" + inner + row)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _drain(out: list[str]) -> str:
+    text = "".join(out)
+    out.clear()
+    return text
+
+
+def json_parts(doc: Any) -> Iterator[str]:
+    """json_dumps' text in parts."""
+    out: list[str] = []
+    yield from _parts(doc, "", out)
+    out.append("\n")
+    yield _drain(out)
+
+
 def json_dumps(doc: Any) -> str:
     """Deterministic JSON text with fixed-precision reals and a trailing newline."""
-    return _text(doc, "") + "\n"
+    return "".join(json_parts(doc))
+
+
+def csv_parts(header: str, rows: Sequence[Sequence[Any]]) -> Iterator[str]:
+    """csv_text's text in parts: the header line, then blocks of BLOCK_ROWS lines."""
+    yield header + "\n"
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        yield "\n".join([*map(_csv_line, rows[lo:lo + BLOCK_ROWS]), ""])
 
 
 def csv_text(header: str, rows: Sequence[Sequence[Any]]) -> str:
     """Comma-separated text; reals carry 12 significant digits."""
-    return "\n".join([header, *map(_csv_line, rows)]) + "\n"
+    return "".join(csv_parts(header, rows))
 
 
 def _csv_line(row: Sequence[Any]) -> str:
@@ -223,17 +298,23 @@ def _csv_line(row: Sequence[Any]) -> str:
     return ",".join(cells)
 
 
-def _flow_cells(flow: FlowMatrix) -> tuple:
-    """Sender, receiver and amount of each entry of a flow, row after row.
+def _flow_blocks(flow: FlowMatrix, first: str, row: str) -> Iterator[str]:
+    """A flow's entries in blocks of BLOCK_ROWS, each one % format over slices
+    of the three columns: the first entry written by the template first, each
+    later one by row, both over (sender, receiver, amount).
 
-    A non-finite amount raises ValueError, as on the value-by-value path.
+    A non-finite amount raises ValueError before the first block, as on the
+    value-by-value path.
     """
     senders, receivers, amounts = flow.columns()
     if not all(map(math.isfinite, amounts)):
         raise ValueError("documents only carry finite reals")
-    cells = [0] * (3 * len(amounts))
-    cells[0::3], cells[1::3], cells[2::3] = senders, receivers, amounts
-    return tuple(cells)
+    size = len(amounts)
+    for lo in range(0, size, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, size)
+        cells = [0] * (3 * (hi - lo))
+        cells[0::3], cells[1::3], cells[2::3] = senders[lo:hi], receivers[lo:hi], amounts[lo:hi]
+        yield ((row if lo else first) + row * (hi - lo - 1)) % tuple(cells)
 
 
 def solution_document(sol: EqualEnergySolution) -> dict:
@@ -246,9 +327,13 @@ def solution_document(sol: EqualEnergySolution) -> dict:
     }
 
 
+def solution_csv_parts(sol: EqualEnergySolution) -> Iterator[str]:
+    yield "from,to,amount\n"
+    yield from _flow_blocks(sol.flow, "%d,%d,%.12g\n", "%d,%d,%.12g\n")
+
+
 def solution_csv(sol: EqualEnergySolution) -> str:
-    cells = _flow_cells(sol.flow)
-    return "from,to,amount" + ("\n%d,%d,%.12g" * (len(cells) // 3)) % cells + "\n"
+    return "".join(solution_csv_parts(sol))
 
 
 def stability_d_document(
@@ -266,14 +351,20 @@ def stability_d_document(
     ]
 
 
-def stability_d_csv(
+def stability_d_csv_parts(
     rows: Sequence[tuple[int, tuple[float, float], StabilityInterval]]
-) -> str:
+) -> Iterator[str]:
     flat = [
         (node, envelope[0], envelope[1], numeric.lo, numeric.hi)
         for node, envelope, numeric in rows
     ]
-    return csv_text("node,env_lo,env_hi,num_lo,num_hi", flat)
+    return csv_parts("node,env_lo,env_hi,num_lo,num_hi", flat)
+
+
+def stability_d_csv(
+    rows: Sequence[tuple[int, tuple[float, float], StabilityInterval]]
+) -> str:
+    return "".join(stability_d_csv_parts(rows))
 
 
 def _or_null(value: float | None) -> float | None:
@@ -301,11 +392,17 @@ def stability_q_document(
     }
 
 
-def stability_q_csv(rows: Sequence[tuple[int, float | None, float | None]]) -> str:
+def stability_q_csv_parts(
+    rows: Sequence[tuple[int, float | None, float | None]]
+) -> Iterator[str]:
     """Rows of (node, q_min, q_max): None is a bound that does not apply, written
     -inf or inf, and NaN a limit that is not finite, written as an empty field."""
     flat = [(node, _csv_limit(lo, "-inf"), _csv_limit(hi, "inf")) for node, lo, hi in rows]
-    return csv_text("node,q_min,q_max", flat)
+    return csv_parts("node,q_min,q_max", flat)
+
+
+def stability_q_csv(rows: Sequence[tuple[int, float | None, float | None]]) -> str:
+    return "".join(stability_q_csv_parts(rows))
 
 
 def sweep_document(rows: Sequence[tuple[float, float | None, float]]) -> list[dict]:
@@ -320,12 +417,16 @@ def sweep_document(rows: Sequence[tuple[float, float | None, float]]) -> list[di
     ]
 
 
-def sweep_csv(rows: Sequence[tuple[float, float | None, float]]) -> str:
+def sweep_csv_parts(rows: Sequence[tuple[float, float | None, float]]) -> Iterator[str]:
     flat = [
         (value, "outside" if energy is None else energy, min_flow)
         for value, energy, min_flow in rows
     ]
-    return csv_text("param,common_energy,min_flow", flat)
+    return csv_parts("param,common_energy,min_flow", flat)
+
+
+def sweep_csv(rows: Sequence[tuple[float, float | None, float]]) -> str:
+    return "".join(sweep_csv_parts(rows))
 
 
 def verify_document(rows: Sequence[dict], tol: float) -> dict:
@@ -338,20 +439,23 @@ def verify_document(rows: Sequence[dict], tol: float) -> dict:
     }
 
 
+def _verify_csv_row(row: dict) -> tuple:
+    series = ";".join(
+        f"{term['lambda']:.12g}*s^{term['exponent']:.12g}" for term in row["series"]
+    )
+    return (
+        row["n"],
+        series,
+        "" if row["closed_form"] is None else format_real(row["closed_form"], CSV_DIGITS),
+        format_real(row["lp"], CSV_DIGITS),
+        "" if row["gap"] is None else format_real(row["gap"], CSV_DIGITS),
+        row["status"],
+    )
+
+
+def verify_csv_parts(rows: Sequence[dict]) -> Iterator[str]:
+    return csv_parts("n,series,closed_form,lp,gap,status", [*map(_verify_csv_row, rows)])
+
+
 def verify_csv(rows: Sequence[dict]) -> str:
-    flat = []
-    for row in rows:
-        series = ";".join(
-            f"{term['lambda']:.12g}*s^{term['exponent']:.12g}" for term in row["series"]
-        )
-        flat.append(
-            (
-                row["n"],
-                series,
-                "" if row["closed_form"] is None else format_real(row["closed_form"], CSV_DIGITS),
-                format_real(row["lp"], CSV_DIGITS),
-                "" if row["gap"] is None else format_real(row["gap"], CSV_DIGITS),
-                row["status"],
-            )
-        )
-    return csv_text("n,series,closed_form,lp,gap,status", flat)
+    return "".join(verify_csv_parts(rows))

@@ -71,10 +71,12 @@ class FlowMatrix:
         n = len(sent) - 1
         size = 2 * n - 1
         senders, receivers, amounts = [0] * size, [0] * size, [0.0] * size
-        # entry 0 is (1, 0); node i >= 2 has (i, 0) at 2i - 3 and (i, i - 1) at 2i - 2
-        senders[0::2] = range(1, n + 1)
-        senders[1::2] = range(2, n + 1)
-        receivers[2::2] = range(1, n)
+        # entry 0 is (1, 0); node i >= 2 has (i, 0) at 2i - 3 and (i, i - 1) at 2i - 2;
+        # both index columns take their ints from one list, so each is made once
+        nodes = list(range(n + 1))
+        senders[0::2] = nodes[1:]
+        senders[1::2] = nodes[2:]
+        receivers[2::2] = nodes[1:n]
         amounts[0] = sent[1]
         amounts[1::2] = sent[2:]
         amounts[2::2] = relays[2:]

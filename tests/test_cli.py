@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, diagnostics, output stability."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import io
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 import chainlife
 from chainlife import (
+    EqualEnergySolution,
+    FlowMatrix,
     PerturbedNetwork,
     RegularNetwork,
     build_cost_series,
@@ -943,6 +947,140 @@ def test_output_that_cannot_be_written_is_config_error(write_config, tmp_path, c
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+
+def _fails_after_one_part(error: BaseException):
+    yield "first part\n"
+    raise error
+
+
+@pytest.mark.parametrize("error", [ValueError("documents only carry finite reals"),
+                                   OSError(28, "No space left on device")])
+def test_a_document_that_fails_while_it_streams_leaves_no_file(tmp_path, error):
+    out = tmp_path / "out.json"
+    out.write_text("an older result\n")
+    args = argparse.Namespace(output=str(out))
+    if isinstance(error, OSError):
+        with pytest.raises(ConfigError, match=f"^cannot write {out}: No space left on device$"):
+            cli._write(args, _fails_after_one_part(error))
+    else:
+        with pytest.raises(ValueError, match="^documents only carry finite reals$"):
+            cli._write(args, _fails_after_one_part(error))
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_stream_leaves_a_path_that_is_no_regular_file(tmp_path):
+    # a link (like a device such as /dev/null) is not removed
+    target = tmp_path / "target.json"
+    target.write_text("")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with pytest.raises(ValueError):
+        cli._write(argparse.Namespace(output=str(link)), _fails_after_one_part(ValueError()))
+    assert link.is_symlink() and target.is_file()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_output_that_cannot_be_opened_starts_no_part_and_removes_nothing(tmp_path, where):
+    out = tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.iterdir())
+    parts = _fails_after_one_part(ValueError())
+    with pytest.raises(ConfigError, match=f"^cannot write {out}: "):
+        cli._write(argparse.Namespace(output=str(out)), parts)
+    assert sorted(tmp_path.iterdir()) == before
+    assert next(parts) == "first part\n"  # the generator was never started
+
+
+def _streamed(parts_of, capsysbinary, tmp_path) -> tuple[bytes, bytes]:
+    """The bytes _write writes to a file and to stdout, each from new parts."""
+    out = tmp_path / "streamed"
+    cli._write(argparse.Namespace(output=str(out)), parts_of())
+    capsysbinary.readouterr()
+    cli._write(argparse.Namespace(output=None), parts_of())
+    return out.read_bytes(), capsysbinary.readouterr().out
+
+
+def _flow_solution(rows: int) -> EqualEnergySolution:
+    """A solution document's content with exactly the given number of flows."""
+    rng = np.random.default_rng(rows)
+    amounts = rng.uniform(0.0, 2.0, rows).tolist()
+    flow = FlowMatrix(rows, {(i, 0): amounts[i - 1] for i in range(1, rows + 1)})
+    energies = tuple(rng.uniform(1.0, 2.0, rows).tolist())
+    return EqualEnergySolution(flow, energies, energies[0])
+
+
+B = docs.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 1])
+def test_streamed_solutions_equal_the_joined_strings(rows, capsysbinary, tmp_path):
+    sol = _flow_solution(rows)
+    cases = [
+        (lambda: docs.json_parts(docs.solution_document(sol)),
+         docs.json_dumps(docs.solution_document(sol))),
+        (lambda: docs.solution_csv_parts(sol), docs.solution_csv(sol)),
+    ]
+    for parts_of, joined in cases:
+        written, printed = _streamed(parts_of, capsysbinary, tmp_path)
+        assert written == printed == joined.encode("utf-8")
+    text = cases[0][1]
+    assert len(json.loads(text)["flows"]) == rows
+    assert cases[1][1].count("\n") == rows + 1
+
+
+def test_streamed_documents_of_every_kind_equal_the_joined_strings(capsysbinary, tmp_path):
+    series = build_cost_series([(0.25, 1.5), (0.75, 2.5)])
+    d_rows = [(i, (-0.1 * i, 0.2 * i), perturbed.StabilityInterval(-0.05 * i, 0.15 * i))
+              for i in range(1, 4)]
+    q_rows = [(1, 0.0, 2.5), (2, 0.0, float("nan")), (3, 0.25, None)]
+    sweep_rows = [(0.01 * k, None if k % 7 == 0 else 1.0 + k / 3, 0.5 - k / 900)
+                  for k in range(B + 2)]
+    verify_rows = [
+        {"n": 3, "series": series_to_terms(series), "volumes": [1.0, 1.25, 1.5], "lp": 2.5,
+         "closed_form": 2.5, "gap": 1e-16, "status": "optimal"},
+        {"n": 3, "series": series_to_terms(series), "volumes": [3.0, 0.5, 0.5], "lp": 4.0,
+         "closed_form": None, "gap": None, "status": "outside_region"},
+    ]
+    cases = [
+        (docs.stability_d_document(d_rows, series), docs.stability_d_csv_parts,
+         docs.stability_d_csv, d_rows),
+        (docs.stability_q_document(q_rows, True, None), docs.stability_q_csv_parts,
+         docs.stability_q_csv, q_rows),
+        (docs.sweep_document(sweep_rows), docs.sweep_csv_parts, docs.sweep_csv, sweep_rows),
+        (docs.verify_document(verify_rows, 1e-9), docs.verify_csv_parts, docs.verify_csv,
+         verify_rows),
+    ]
+    for doc, csv_parts, csv, rows in cases:
+        for parts_of, joined in [(lambda: docs.json_parts(doc), docs.json_dumps(doc)),
+                                 (lambda: csv_parts(rows), csv(rows))]:
+            written, printed = _streamed(parts_of, capsysbinary, tmp_path)
+            assert written == printed == joined.encode("utf-8")
+        assert json.loads(docs.json_dumps(doc)) == json.loads(json.dumps(doc))
+    assert docs.sweep_csv(sweep_rows).count("\n") == B + 3
+
+
+def test_writing_a_large_solution_holds_no_whole_document(write_config, tmp_path):
+    # the JSON op's traced peak above its load and solve's is under half its file
+    n = 20_000
+    rng = np.random.default_rng(20)
+    doc = {"n": n, "volumes": (1.0 + 0.5 * rng.random(n)).tolist(),
+           "cost": {"terms": [{"lambda": 0.4, "exponent": 1.5},
+                              {"lambda": 0.6, "exponent": 2.5}]}}
+    path = write_config("big.json", doc)
+    out = tmp_path / "big-out.json"
+    peaks = []
+    for run in (lambda: solve_equal_energy(docs.load_network(path)),
+                lambda: main(["solve-regular", "--input", path, "--output", str(out)])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    solve_peak, op_peak = peaks
+    size = out.stat().st_size
+    assert size > 3_000_000
+    assert op_peak - solve_peak < size / 2
 
 
 def test_verify_negative_seed_with_draws_is_config_error(write_config, capsys):

@@ -429,7 +429,7 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
             return result
         monkeypatch.setattr(documents, name, wrapper)
 
-    for name in ("_text", "_float_run", "_flow_cells", "_csv_line"):
+    for name in ("_parts", "_float_run", "_flow_blocks", "_csv_line"):
         counted(name)
     seen = []
     for n in (100, 1000):
@@ -439,11 +439,11 @@ def test_solution_document_calls_do_not_grow_with_the_chain(monkeypatch):
         solution_csv(sol)
         seen.append(sorted(calls))
     # the document, its flows and its node energies; the energies are one
-    # float run, and each writer reads the flows' columns once, with no text
-    # or CSV line per flow
+    # float run, and each writer reads the flows' columns in one pass of
+    # blocks, with no text or CSV line per flow
     assert seen[0] == seen[1]
     assert seen[0] == sorted(
-        [("_text", True)] * 3 + [("_float_run", True)] + [("_flow_cells", True)] * 2
+        [("_parts", True)] * 3 + [("_float_run", True)] + [("_flow_blocks", True)] * 2
     )
 
 

@@ -5,14 +5,15 @@ Usage: python tools/ab.py PARENT_SRC CHANGE_SRC WORKLOAD
 Imports the chainlife package of each tree (each directory holds a
 chainlife package) into one process, side by side, and runs every op of
 WORKLOAD's input sets (bench/workloads.py, seed 1, all 8 sets) through
-each tree's chainlife.cli.main, writing the op's output file in a
-temporary directory.  A round times every op on both trees, the best of 3
-calls each; within a round the tree that goes first alternates from op to
-op, and the first op's order alternates from round to round.  After 8
-rounds it prints, per op kind (the op's name without its node index), the
-median over the rounds of each tree's summed time, the ratio change /
-parent of those medians and the rounds the change won, and a last line
-for the whole pass.  A ratio below 1 means the change is faster.  The
+each tree's chainlife.cli.main.  Each call writes its output to a new
+file in a temporary directory, as bench/worker.py does, and the file is
+removed after the call, outside the timing.  A round times every op on
+both trees, the best of 3 calls each; within a round the tree that goes
+first alternates from op to op, and the first op's order alternates from
+round to round.  After 8 rounds it prints, per op kind (the op's name
+without its node index), the median over the rounds of each tree's summed
+time, the ratio change / parent of those medians and the rounds the
+change won, and a last line for the whole pass.  A ratio below 1 means the change is faster.  The
 output bytes are not compared; tools/parity.py does that.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -30,6 +32,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
@@ -52,16 +55,25 @@ def _load(src: Path):
     return cli, modules
 
 
-def _best(tree, argv: list[str]) -> float:
-    """The shortest of REPEATS timed cli.main(argv) calls of one tree."""
+def _best(tree, argv: list[str], calls: Iterator[int]) -> float:
+    """The shortest of REPEATS timed cli.main(argv) calls of one tree.
+
+    argv ends with its output file's name; each call writes a new file,
+    that name prefixed with the next number of calls.
+    """
     cli, modules = tree
     sys.modules.update(modules)  # a function-level import finds its own tree's modules
     best = math.inf
     for _ in range(REPEATS):
+        output = f"{next(calls)}-{argv[-1]}"
+        call = [*argv[:-1], output]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             start = time.perf_counter()
-            cli.main(argv)
+            cli.main(call)
             best = min(best, time.perf_counter() - start)
+        # a new file per call, as bench/worker.py writes: a reused one adds a truncation
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(output)
     return best
 
 
@@ -95,12 +107,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         ops = _ops(workloads, args.workload)
+        calls = itertools.count()
         rounds = []
         for r in range(ROUNDS):
             sums = [dict.fromkeys([kind for kind, _ in ops], 0.0) for _ in trees]
             for j, (kind, op_argv) in enumerate(ops):
                 for t in (0, 1) if (r + j) % 2 == 0 else (1, 0):
-                    sums[t][kind] += _best(trees[t], op_argv)
+                    sums[t][kind] += _best(trees[t], op_argv, calls)
             rounds.append(sums)
     kinds = list(rounds[0][0]) + ["pass"]
     print(f"{args.workload}: {len(ops)} ops, {ROUNDS} rounds, best of {REPEATS} per op")
