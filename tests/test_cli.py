@@ -644,29 +644,48 @@ def test_verify_outside_row_with_a_failed_dual_check_exits_3(write_config, capsy
     assert "arc (2, 1)" in lines[0]
 
 
-def test_verify_reports_an_lp_matrix_that_cannot_be_allocated(write_config):
-    # n = 30000 needs 6.7 GiB per dense n x n array.  The child always caps
-    # its address space at 3 GiB (or a lower hard limit) before chainlife
-    # is imported, so the allocation is refused at once and nothing that
-    # large is ever held
-    pytest.importorskip("resource")
-    suite = write_config("suite.json", {"n_values": [30000], "exponents": [2.0],
-                                        "volumes": "unit"})
+def _verify_under_3_gib(suite: str) -> subprocess.CompletedProcess:
+    """verify run in a child that caps its address space at 3 GiB (or a lower
+    hard limit) before chainlife is imported, so an allocation past the cap
+    is refused at once and nothing that large is ever held."""
     code = (
         "import resource, sys\n"
         "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
         "cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
         "from chainlife.cli import main\n"
-        f"sys.exit(main(['verify', '--input', {suite!r}]))\n"
+        f"sys.exit(main(['verify', '--input', {suite!r}, '--format', 'csv']))\n"
     )
     env = dict(_child_env(), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_verify_reports_an_lp_matrix_that_cannot_be_allocated(write_config):
+    # a last volume below its minimum (3.3e-5) leaves the region, so HiGHS
+    # needs the LP matrix: at n = 30000, 6.7 GiB per dense n x n array
+    pytest.importorskip("resource")
+    n = 30000
+    suite = write_config("suite.json", {"n_values": [n], "exponents": [2.0],
+                                        "volumes": [[1.0] * (n - 1) + [1e-6]]})
+    proc = _verify_under_3_gib(suite)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: the LP matrix of the n=30000 chain does not fit in memory"
     ]
+
+
+def test_verify_certifies_a_chain_too_large_for_its_lp_matrix(write_config):
+    # in-region rows are certified from the chain's costing, one block of
+    # rows at a time, with no LP matrix
+    pytest.importorskip("resource")
+    suite = write_config("suite.json", {"n_values": [30000], "exponents": [2.0],
+                                        "volumes": "unit"})
+    proc = _verify_under_3_gib(suite)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("30000,") and lines[1].endswith(",optimal")
 
 
 def test_verify_and_solve_leave_scipy_unloaded(write_config):
@@ -826,7 +845,8 @@ def test_verify_shares_each_chain_and_matches_the_row_by_row_proof(tmp_path_fact
     )
 
 
-def test_verify_builds_one_lp_matrix_per_chain(write_config, capsys, monkeypatch):
+def _count_verify_calls(monkeypatch, suite: str) -> tuple[int, list[str], dict, int]:
+    """verify's exit code and row statuses, its calls by name, and its chain costings."""
     calls = {"formulate": 0, "lp_solve": 0, "certifier": 0, "_suite_volumes": 0}
 
     def counting(name):
@@ -848,17 +868,38 @@ def test_verify_builds_one_lp_matrix_per_chain(write_config, capsys, monkeypatch
         return costs(net)
 
     monkeypatch.setattr(perturbed, "_costs", counted_costs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify", "--input", suite])
+    rows = json.loads(out.getvalue())["instances"]
+    return rc, [row["status"] for row in rows], calls, costings[0]
+
+
+def test_verify_builds_one_lp_matrix_per_chain(write_config, monkeypatch):
     suite = write_config("suite.json", {
         "n_values": [4, 4], "exponents": [1.5, 2.0],
         "volumes": [[1.0] * 4, [1.2, 1.1, 1.3, 1.0], [1.0, 1.0, 1.0, 0.01]], "random_q": 0,
     })
-    assert main(["verify", "--input", suite]) == 3
-    rows = json.loads(capsys.readouterr().out)["instances"]
-    assert [row["status"] for row in rows] == ["optimal", "optimal", "outside_region"] * 4
+    rc, statuses, calls, costings = _count_verify_calls(monkeypatch, suite)
+    assert rc == 3
+    assert statuses == ["optimal", "optimal", "outside_region"] * 4
     # 12 rows: one matrix, one dual point and one costing per (n, exponent),
     # HiGHS per outside row, the volume vectors parsed once per chain
     assert calls == {"formulate": 4, "lp_solve": 4, "certifier": 4, "_suite_volumes": 4}
-    assert costings[0] == 4
+    assert costings == 4
+
+
+def test_verify_builds_no_lp_matrix_inside_the_region(write_config, monkeypatch):
+    suite = write_config("suite.json", {
+        "n_values": [4, 9], "exponents": [1.5, 2.0],
+        "volumes": "unit", "random_q": 2,
+    })
+    rc, statuses, calls, costings = _count_verify_calls(monkeypatch, suite)
+    assert rc == 0
+    assert statuses == ["optimal"] * 12
+    # the certificate comes from each chain's one costing; HiGHS is never needed
+    assert calls == {"formulate": 0, "lp_solve": 0, "certifier": 4, "_suite_volumes": 4}
+    assert costings == 4
 
 
 def test_sweep_volume_grid(write_config, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlife import (
     PerturbedNetwork,
@@ -20,7 +22,9 @@ from chainlife import oracle
 from chainlife.cost import CostSeries, transmission_cost
 from chainlife.oracle import (
     DEFAULT_VERIFY_TOL,
+    LpInstance,
     arcs,
+    certifier,
     certify,
     check_dual,
     formulate,
@@ -244,3 +248,83 @@ def test_certificate_refuses_costs_that_are_not_superadditive():
     flat = certify(formulate(RegularNetwork(3, (1.0,) * 3, CostSeries(((1.0, 0.0),)))))
     assert flat.arc == (2, 1)
     assert flat.slack == float("inf")
+
+
+def _rows_per_block(monkeypatch, rows: int | None, n: int) -> None:
+    """Blocks of ``rows`` rows of an n-node chain, or the default size for None."""
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", rows * 8 * (n + 1))
+
+
+def _assert_chain_certificate_is_the_matrix_one(net, rows) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        _rows_per_block(patch, net.n, net.n)  # one block: the whole-matrix argmax
+        expected = certify(formulate(net))
+    with pytest.MonkeyPatch.context() as patch:
+        _rows_per_block(patch, rows, net.n)
+        got = certifier(net)(net.volumes)
+    # bit for bit: == on floats, and the same arc
+    assert (got.bound, got.slack, got.arc) == (expected.bound, expected.slack, expected.arc)
+    assert type(got.bound) is float and type(got.slack) is float
+    assert all(type(k) is int for k in got.arc)
+
+
+@st.composite
+def regular_chains(draw):
+    """A regular chain of 1-60 nodes: one or two terms with exponents 1-5, volumes 0.5-2."""
+    n = draw(st.integers(1, 60))
+    exponents = draw(st.lists(st.floats(1.0, 5.0), min_size=1, max_size=2))
+    if len(exponents) == 1:
+        series = single_exponent_series(exponents[0])
+    else:
+        w = draw(st.floats(0.05, 0.95))
+        series = build_cost_series([(w, exponents[0]), (1.0 - w, exponents[1])])
+    volumes = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    return RegularNetwork(n, tuple(volumes), series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=regular_chains(), rows=st.sampled_from([1, 7, None]))
+def test_chain_certificate_is_the_matrix_certificate(net, rows):
+    _assert_chain_certificate_is_the_matrix_one(net, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["rows1", "rows7", "default"])
+@pytest.mark.parametrize(
+    "net",
+    [
+        RegularNetwork(300, (1.0,) * 300, single_exponent_series(1.0)),
+        RegularNetwork(1000, (1.2,) * 500 + (1.0,) * 500, single_exponent_series(3.0)),
+        RegularNetwork(2000, (1.0,) * 2000, build_cost_series([(0.5, 1.5), (0.5, 2.0)])),
+        # validation bypassed: a violated arc, then no nonnegative multiplier
+        RegularNetwork(6, (1.0,) * 6, CostSeries(((1.0, 0.5),))),
+        RegularNetwork(3, (1.0,) * 3, CostSeries(((1.0, 0.0),))),
+    ],
+    ids=["n300-linear", "n1000-cubic", "n2000-two-term", "concave", "flat"],
+)
+def test_chain_certificate_is_the_matrix_certificate_on_fixed_chains(net, rows):
+    _assert_chain_certificate_is_the_matrix_one(net, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_block_merge_keeps_the_first_worst_arc_and_the_first_nan(monkeypatch, rows):
+    # pi = 0 and mu = 1/n: every row's worst slack is -1/n, on its unit hops,
+    # so the worst slacks tie across every block boundary
+    n = 20
+    inst = formulate(unit_net(n, 2.0))
+    pi, mu = np.zeros(n + 1), np.concatenate(([0.0], np.ones(n)))
+    _rows_per_block(monkeypatch, rows, n)
+    cert = check_dual(inst, pi, mu)
+    assert (cert.slack, cert.arc) == (-1.0 / n, (1, 0))
+    # a NaN cost in row 9 outranks the larger slack of row 15
+    costs = inst.costs.copy()
+    costs[9, 4] = math.nan
+    costs[15, 14] = 0.0
+    cert = check_dual(LpInstance(inst.volumes, costs), pi, mu)
+    assert math.isnan(cert.slack) and cert.arc == (9, 4)
+
+
+def test_chain_certifier_refuses_a_shifted_chain():
+    net = PerturbedNetwork(3, (0.0, 0.2, 0.0), (1.0,) * 3, single_exponent_series(2.0))
+    with pytest.raises(ValueError, match="regular chain"):
+        certifier(net)

@@ -7,17 +7,21 @@ Runs every op of the three benchmark workloads (bench/workloads.py, all
 input sets of seeds 1-3) in-process through chainlife.cli.main imported
 from SRC, the directory that holds the chainlife package.  Each op's exit
 code, stdout, stderr and output file are hashed, and one sha256 per
-workload is printed.  Two more fixed cases cover stability-d beyond the
-workloads, one line each: ``stability-d --nodes all`` at n = 9, 300 and
+workload is printed.  Three more fixed cases cover stability-d and verify
+beyond the workloads, one line each: ``stability-d --nodes all`` at n = 9, 300 and
 10^4 (cost 0.5 s + 0.5 s^2, unit volumes) in JSON and CSV, through
-cli.main as above; and numeric_d_intervals over all nodes of 1,500 seeded
+cli.main as above; ``verify`` at n = 300, 1000 and 2000 (exponents 1,
+1.5, 2 and 3, unit volumes and two seeded unit-region draws) in JSON and
+CSV, whose certificates span many blocks of rows where the workloads'
+fit in one; and numeric_d_intervals over all nodes of 1,500 seeded
 random chains (see _corpus), called directly because half of them have
 volumes other than 1, hashing the repr of each chain's intervals or of
 its error.  Two trees with equal hashes give byte-identical results on
 every op and chain.  Inputs and outputs live in a temporary directory,
 entered as the working directory so that no path in a message differs
-between runs; bench/ is only imported.  A run takes about 16 s (2-core
-Xeon, Python 3.11.7).
+between runs; bench/ is only imported.  A run takes about 5 s of CPU
+time (2-core AMD EPYC, Python 3.11.7); its wall time is mostly the
+creation of output files, and was 16 to 80 s on the disks tried.
 
 Given two directories, the script hashes each in a subprocess of its own,
 one after the other, and prints both hashes on each line with ``same`` or
@@ -41,6 +45,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (1, 2, 3)
 STABILITY_D_SIZES = (9, 300, 10_000)
+VERIFY_SIZES = (300, 1000, 2000)
 CORPUS_CHAINS = 1500
 
 
@@ -90,6 +95,18 @@ def _stability_d_hash(cli) -> tuple[str, int]:
             _hash_op(cli, digest, f"stability-d-n{n}-{fmt}", fmt, argv)
             ops += 1
     return digest.hexdigest(), ops
+
+
+def _verify_hash(cli) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    suite = {"n_values": list(VERIFY_SIZES), "exponents": [1.0, 1.5, 2.0, 3.0],
+             "volumes": "unit", "random_q": 2}
+    with open("suite.json", "w", encoding="utf-8") as handle:
+        json.dump(suite, handle)
+    for fmt in ("json", "csv"):
+        argv = ["verify", "--input", "suite.json", "--seed", "7"]
+        _hash_op(cli, digest, f"verify-{fmt}", fmt, argv)
+    return digest.hexdigest(), 2
 
 
 def _corpus(chainlife, np):
@@ -177,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload}: {ops} ops sha256 {digest}")
         digest, ops = _stability_d_hash(cli)
         print(f"stability-d all nodes: {ops} ops sha256 {digest}")
+        digest, ops = _verify_hash(cli)
+        print(f"verify n {'/'.join(map(str, VERIFY_SIZES))}: {ops} ops sha256 {digest}")
     digest, endpoints = _corpus_hash(chainlife, np)
     print(f"stability-d corpus: {CORPUS_CHAINS} chains, {endpoints} endpoints sha256 {digest}")
     return 0
