@@ -1,23 +1,11 @@
-"""Command-line front end.
-
-verify proves each closed-form split optimal with the LP dual certificate
-of chainlife.oracle; its ``lp`` column is the certified dual bound, or, for
-instances outside the volume region, the HiGHS optimum checked by its duals.
-Rows inside the region are certified from the chain's own costing in O(n)
-memory per block of rows: a unit suite with cost s^2 peaks at 9.6 MB
-traced at n = 2000 (196 MB with the LP matrix), 12.8 MB in 0.22 s at
-n = 10^4, and runs in 0.45 s at n = 30,000 under a 3 GiB address-space
-cap (2-core AMD EPYC, Python 3.11.7).  Only rows outside the region build
-the O(n^2) LP matrix, once per chain, for HiGHS.
+"""Equal-energy flow splits of a sensor chain, their stability limits, and
+LP proofs that they are optimal.
 
 Exit codes: 0 success, 1 bad configuration or arguments, 2 volumes or
-shifts outside the feasible region (a routing flow went negative),
-3 verification failure or numerical breakdown.  verify also exits 3, with
-no ``error:`` line, when any row is ``outside_region``, even when every
-check of its HiGHS optimum passed: it exits 0 only when every row is
-certified ``optimal``.  A chain with an outside row whose O(n^2) LP
-matrix cannot be allocated ends verify with one ``error:`` line naming n,
-and exit 3.
+shifts outside the feasible region (a routing flow went negative), 3
+verification failure or numerical breakdown.  verify also exits 3, with
+no error line, when any row is outside_region: it exits 0 only when
+every row is certified optimal.
 """
 from __future__ import annotations
 
@@ -284,6 +272,9 @@ def _load_suite(path: str | None) -> dict:
     doc = docs.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("suite config must be an object")
+    for key in doc:
+        if key not in _SUITE_DEFAULTS:
+            raise ConfigError(f"suite key {key!r} is not one of {', '.join(_SUITE_DEFAULTS)}")
     return {**_SUITE_DEFAULTS, **doc}
 
 

@@ -8,14 +8,17 @@ energy, with no violated arc, is a proof of optimality; :func:`check_dual`
 judges a dual point that way.  :func:`certifier` builds the point in closed
 form on the chain support and proves it on every arc, once per chain inside
 the volume region: the point and its arc checks involve the costs alone, so
-only the bound changes with the volumes.  On a regular chain the n^2 arc
-costs are the n + 1 costs D_k of the chain's own costing, so the arcs are
-checked a block of rows at a time in O(n) memory per block, with no LP
-matrix: through ``chainlife verify``, a unit suite with cost s^2 peaks at
-9.6 MB traced at n = 2000 (196 MB with the matrix), 12.8 MB in 0.22 s at
-n = 10^4 and 21 MB at n = 30,000, where it runs in 0.45 s under a 3 GiB
-address-space cap (2-core AMD EPYC, Python 3.11.7).  :func:`certify`
-judges the same point on an instance's matrix, bit for bit.
+only the bound changes with the volumes.  The arc costs c_ij come from one
+place, _arc_rows, a block of rows at a time, for :func:`formulate` and
+:func:`certifier` alike.  On a regular chain they are the n + 1 costs D_k
+of the chain's own costing, c_ij = D_{|i-j|}, so the certifier checks the
+arcs in O(n) memory per block, with no LP matrix: through ``chainlife
+verify``, a unit suite with cost s^2 peaks at 9.6 MB traced at n = 2000
+(196 MB with the matrix), 12.8 MB in 0.22 s at n = 10^4 and 21 MB at
+n = 30,000, where it runs in 0.45 s under a 3 GiB address-space cap
+(2-core AMD EPYC, Python 3.11.7).  On a shifted chain each arc is costed
+with the chain's cost function, n^2 calls.  :func:`certify` judges the
+same point on an instance's matrix, bit for bit.
 
 Outside the region there is no split to certify.  :func:`solve` hands the LP
 to HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018), shipped with scipy,
@@ -33,7 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cost import transmission_cost
+from .cost import cost_function
+from .cost import transmission_cost  # noqa: F401  bench/spans.py traces it by this name
 from .errors import NumericalStall
 from .validate import FlowMatrix, check_conservation
 
@@ -90,20 +94,42 @@ class Certificate:
 
 
 def formulate(net) -> LpInstance:
-    """Build the LP of a chain, costing each distinct distance once (n on a regular chain)."""
+    """Build the LP of a chain: row 0 of zeros over the arc costs of _arc_rows."""
     import numpy as np
 
-    x = np.array(net.positions().x)
-    distinct, index = np.unique(np.abs(x[1:, None] - x), return_inverse=True)
-    # distinct[0] is the diagonal's zero; Python floats keep transmission_cost's own powers
-    priced = [0.0] + [transmission_cost(net.series, 0.0, s) for s in distinct[1:].tolist()]
-    costs = np.zeros((x.size, x.size))
-    costs[1:] = np.array(priced)[index.reshape(x.size - 1, x.size)]
+    costs = np.vstack((np.zeros(net.n + 1), _arc_rows(net)(1, net.n + 1)))
     return LpInstance(tuple(float(q) for q in net.volumes), costs)
 
 
+def _arc_rows(net) -> Callable[[int, int], np.ndarray]:
+    """The chain's arc costs as rows(lo, hi): c_ij for tails i = lo..hi-1 and heads j = 0..n.
+
+    On a regular chain c_ij = D_{|i-j|}, read from the n + 1 costs of the
+    chain's own costing (net.costs), and a block of rows is a strided view
+    of them.  On a shifted chain each arc of the block is costed with the
+    chain's cost_function, which is transmission_cost bit for bit.
+    """
+    import numpy as np
+
+    if any(net.shifts):
+        x, cost = net.positions().x, cost_function(net.series)
+        return lambda lo, hi: np.array([[cost(x[i], xj) for xj in x] for i in range(lo, hi)])
+    from numpy.lib.stride_tricks import as_strided
+
+    n, d = net.n, np.array(net.costs[0])  # d[k] = C(k), the cost of distance k; d[0] = 0
+    mirror = np.concatenate((d[:0:-1], d))  # mirror[n + k] = d[|k|] for k = -n..n
+    stride = mirror.itemsize
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # row i, d[|i - j|] over j = 0..n, is mirror[n - i:2n + 1 - i]: a view
+        # of rows lo..hi-1 that starts one entry earlier on each row
+        return as_strided(mirror[n - lo:], (hi - lo, n + 1), (-stride, stride), writeable=False)
+
+    return rows
+
+
 def certifier(net) -> Callable[[Sequence[float]], Certificate]:
-    """The optimality certificate of a regular chain's equal-energy split, for any volumes.
+    """The optimality certificate of a chain's equal-energy split, for any volumes.
 
     The dual of  min t  subject to conservation, node energy <= t and
     flows >= 0  is  max sum_i Q_i pi_i  over potentials pi (pi_0 = 0) and
@@ -120,45 +146,27 @@ def certifier(net) -> Callable[[Sequence[float]], Certificate]:
     chain, and the returned function prices each volume vector's bound in
     O(n); this is the volume region U(Q^0) in dual form.  By weak duality
     (Chang and Tassiulas, IEEE/ACM ToN 12(4), 2004) the bound is at most the
-    LP optimum when the worst slack is not positive, so a bound equal to a
-    feasible flow's worst energy proves that flow optimal.  When some hop to
-    the left neighbour costs at least the direct arc (a cost series that is
-    not superadditive), no nonnegative multiplier exists: every certificate
-    reports infinite slack on that hop and bound 0.
+    LP optimum when the worst slack is not positive, at any node positions,
+    so a bound equal to a feasible flow's worst energy proves that flow
+    optimal.  When some hop to the left neighbour costs at least the direct
+    arc (a cost series that is not superadditive), no nonnegative multiplier
+    exists: every certificate reports infinite slack on that hop and bound 0.
 
-    The costs are the chain's own (net.costs): on a regular chain
-    c_ij = D_{|i-j|}, so the arcs are judged from those n + 1 numbers a
-    block of rows at a time, in O(n) memory per block, with no LP matrix.
-    The certificate is :func:`certify`'s on ``formulate(net)``, bit for bit.
-    A shifted chain raises ValueError.
+    D and L are the chain's own (net.costs), and the arcs are judged on
+    _arc_rows(net) a block of rows at a time, with no LP matrix.  The
+    certificate is :func:`certify`'s on ``formulate(net)``, bit for bit.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
-    if any(net.shifts):
-        raise ValueError("the chain certifier takes a regular chain; got nonzero shifts")
-    n, (direct, left) = net.n, net.costs
-    d = np.array(direct)  # d[k] = C(k), the cost of distance k; d[0] = 0
-    mirror = np.concatenate((d[:0:-1], d))  # mirror[n + k] = d[|k|] for k = -n..n
-    stride = mirror.itemsize
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        # row i, d[|i - j|] over j = 0..n, is mirror[n - i:2n + 1 - i]: a view
-        # of rows lo..hi-1 that starts one entry earlier on each row
-        return as_strided(mirror[n - lo:], (hi - lo, n + 1), (-stride, stride), writeable=False)
-
-    return _certifier(d[1:], np.array(left[2:]), rows)
+    direct, left = net.costs
+    return _certifier(np.array(direct[1:]), np.array(left[2:]), _arc_rows(net))
 
 
 def certify(inst: LpInstance) -> Certificate:
     """The certificate of one instance: :func:`certifier`'s point, judged on its cost matrix."""
-    import numpy as np
-
     costs = inst.costs
-    hop = np.arange(2, costs.shape[0])
-    return _certifier(costs[1:, 0], costs[hop, hop - 1], lambda lo, hi: costs[lo:hi])(
-        inst.volumes
-    )
+    prove = _certifier(costs[1:, 0], costs.diagonal(-1)[1:], lambda lo, hi: costs[lo:hi])
+    return prove(inst.volumes)
 
 
 def _certifier(

@@ -584,6 +584,26 @@ def test_verify_rejects_bad_suite_values(write_config, capsys, key, value):
     assert len(lines) == 1 and lines[0].startswith("error:") and "suite" in lines[0]
 
 
+@pytest.mark.parametrize("key", ["shifts", "n", "seed"])
+def test_verify_rejects_unknown_suite_keys(write_config, capsys, key):
+    # a key verify does not read is an error, not ignored: a "shifts" key
+    # would otherwise verify the regular chain and exit 0
+    doc = {"n_values": [3], "exponents": [2.0], "volumes": "unit", "random_q": 0,
+           key: [0, 0.1, 0]}
+    assert main(["verify", "--input", write_config("suite.json", doc)]) == 1
+    _assert_one_error_line(capsys, f"suite key {key!r} is not one of")
+
+
+def test_help_names_the_exit_codes_and_no_benchmark_figures(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse rewraps the description
+    for code in ("0 success", "1 bad configuration", "2 volumes or shifts", "3 verification"):
+        assert code in text
+    assert "traced" not in text and "``" not in text
+
+
 def test_verify_unreadable_or_malformed_suite_is_config_error(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"n_values": [3],')

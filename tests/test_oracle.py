@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlife import (
+    NegativeFlow,
     PerturbedNetwork,
     RegularNetwork,
     build_cost_series,
@@ -18,7 +19,7 @@ from chainlife import (
     raw_flows,
     single_exponent_series,
 )
-from chainlife import oracle
+from chainlife import oracle, perturbed
 from chainlife.cost import CostSeries, transmission_cost
 from chainlife.oracle import (
     DEFAULT_VERIFY_TOL,
@@ -53,24 +54,28 @@ def test_formulate_full_arc_count():
     [
         unit_net(9, 2.0),
         RegularNetwork(40, (1.0,) * 40, build_cost_series([(0.3, 1.4), (0.7, 2.6)])),
-        PerturbedNetwork(5, (0.25, 0.0, -0.25, 0.0, 0.5), (1.0,) * 5, single_exponent_series(2.0)),
     ],
-    ids=["regular9", "regular40", "shifted"],
+    ids=["regular9", "regular40"],
 )
-def test_formulate_costs_each_distinct_distance_once(net, monkeypatch):
-    calls = []
+def test_formulate_costs_a_regular_chain_through_its_own_costing(net, monkeypatch):
+    # c_ij = D_{|i-j|}: the LP matrix and the certificate read net.costs, one
+    # costing of n + 1 calls, and cost no arc of their own
+    costings = []
+    costs = perturbed._costs
 
-    def counting(series, xi, xj):
-        calls.append(abs(xi - xj))
-        return transmission_cost(series, xi, xj)
+    def counted(chain):
+        costings.append(chain)
+        return costs(chain)
 
-    monkeypatch.setattr(oracle, "transmission_cost", counting)
+    def refused(*args):
+        raise AssertionError("a regular chain's arc was costed outside net.costs")
+
+    monkeypatch.setattr(perturbed, "_costs", counted)
+    monkeypatch.setattr(oracle, "transmission_cost", refused)
+    monkeypatch.setattr(oracle, "cost_function", refused)
     formulate(net)
-    x = net.positions().x
-    distances = {abs(x[i] - x[j]) for i in range(1, net.n + 1) for j in range(net.n + 1) if i != j}
-    assert sorted(calls) == sorted(distances)
-    if not any(net.shifts):
-        assert len(calls) == net.n
+    certifier(net)
+    assert costings == [net]
 
 
 def test_check_dual_reports_the_first_worst_arc_in_row_order():
@@ -99,22 +104,13 @@ def test_check_dual_reports_the_first_worst_arc_in_row_order():
         assert all(type(k) is int for k in cert.arc)
 
 
-@pytest.mark.parametrize(
-    "net",
-    [
-        RegularNetwork(12, (1.0,) * 12, build_cost_series([(0.3, 1.4), (0.7, 2.6)])),
-        PerturbedNetwork(
-            12,
-            (0.1, -0.2, 0.0, 0.0, 0.3, 0.3, -0.05, 0.0, 0.2, 0.0, 0.0, -0.4),
-            (1.0,) * 12,
-            build_cost_series([(0.3, 1.4), (0.7, 2.6)]),
-        ),
-    ],
-    ids=["regular", "shifted"],
-)
-def test_formulate_costs_each_arc_exactly(net):
-    # each distinct distance is costed once; the matrix must stay the
-    # per-arc one bit for bit
+@pytest.mark.parametrize("shifted", [False, True], ids=["regular", "shifted"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_formulate_costs_each_arc_exactly(shifted, data):
+    # the per-arc transmission_cost loop is the reference that formulate and
+    # certifier do not share: their arc costs both come from _arc_rows
+    net = data.draw(chains(shifted))
     x = net.positions().x
     expected = np.zeros((net.n + 1, net.n + 1))
     for i in range(1, net.n + 1):
@@ -201,8 +197,22 @@ def test_iteration_budget_is_reported():
     assert isinstance(lp.iterations, int)
 
 
+def _feasible_shifts(rng: np.random.Generator, n: int, volumes, series) -> PerturbedNetwork:
+    """A chain with about half its nodes shifted by up to 0.45, the shifts
+    divided by 4 until its equal-energy split is physical."""
+    shifts = np.where(rng.random(n) < 0.5, rng.uniform(-0.45, 0.45, n), 0.0)
+    while True:
+        net = PerturbedNetwork(n, tuple(shifts.tolist()), volumes, series)
+        try:
+            flow_closed_form(net)
+        except NegativeFlow:
+            shifts /= 4
+        else:
+            return net
+
+
 def test_certificate_proves_the_equal_energy_split():
-    rng = np.random.default_rng(4242)
+    rng, shift_rng = np.random.default_rng(4242), np.random.default_rng(4243)
     for _ in range(60):
         n = int(rng.integers(1, 41))
         a = float(rng.choice([1.0, 1.1, 1.5, 2.0, 3.0]))
@@ -211,18 +221,25 @@ def test_certificate_proves_the_equal_energy_split():
         else:
             w = float(rng.uniform(0.2, 0.8))
             series = build_cost_series([(w, a), (1.0 - w, float(rng.uniform(1.0, 4.0)))])
-        net = RegularNetwork(n, unit_region_volumes(rng, n), series)
-        cert = certify(formulate(net))
-        assert cert.bound == pytest.approx(flow_closed_form(net).common_energy, rel=1e-12)
-        assert cert.slack <= 1e-12
+        volumes = unit_region_volumes(rng, n)
+        for net in (
+            RegularNetwork(n, volumes, series), _feasible_shifts(shift_rng, n, volumes, series)
+        ):
+            cert = certify(formulate(net))
+            assert cert.bound == pytest.approx(flow_closed_form(net).common_energy, rel=1e-12)
+            assert cert.slack <= 1e-12
 
 
 def test_certificate_bound_matches_the_simplex():
-    rng = np.random.default_rng(5353)
+    rng, shift_rng = np.random.default_rng(5353), np.random.default_rng(5354)
     for _ in range(20):
         n = int(rng.integers(1, 11))
-        inst = formulate(RegularNetwork(n, unit_region_volumes(rng, n), random_series(rng)))
-        assert certify(inst).bound == pytest.approx(solve(inst).value, abs=1e-9)
+        volumes, series = unit_region_volumes(rng, n), random_series(rng)
+        for net in (
+            RegularNetwork(n, volumes, series), _feasible_shifts(shift_rng, n, volumes, series)
+        ):
+            inst = formulate(net)
+            assert certify(inst).bound == pytest.approx(solve(inst).value, abs=1e-9)
 
 
 def test_check_dual_refuses_a_corrupted_point():
@@ -270,8 +287,12 @@ def _assert_chain_certificate_is_the_matrix_one(net, rows) -> None:
 
 
 @st.composite
-def regular_chains(draw):
-    """A regular chain of 1-60 nodes: one or two terms with exponents 1-5, volumes 0.5-2."""
+def chains(draw, shifted=None):
+    """A chain of 1-60 nodes: one or two terms with exponents 1-5, volumes 0.5-2.
+
+    A shifted chain (drawn half the time when ``shifted`` is None) moves
+    about half its nodes, each by up to 0.45 either way.
+    """
     n = draw(st.integers(1, 60))
     exponents = draw(st.lists(st.floats(1.0, 5.0), min_size=1, max_size=2))
     if len(exponents) == 1:
@@ -280,11 +301,17 @@ def regular_chains(draw):
         w = draw(st.floats(0.05, 0.95))
         series = build_cost_series([(w, exponents[0]), (1.0 - w, exponents[1])])
     volumes = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-    return RegularNetwork(n, tuple(volumes), series)
+    if shifted is None:
+        shifted = draw(st.booleans())
+    shifts = [0.0] * n
+    if shifted:
+        shift = st.one_of(st.just(0.0), st.floats(-0.45, 0.45))
+        shifts = draw(st.lists(shift, min_size=n, max_size=n))
+    return PerturbedNetwork(n, tuple(shifts), tuple(volumes), series)
 
 
 @settings(max_examples=60, deadline=None)
-@given(net=regular_chains(), rows=st.sampled_from([1, 7, None]))
+@given(net=chains(), rows=st.sampled_from([1, 7, None]))
 def test_chain_certificate_is_the_matrix_certificate(net, rows):
     _assert_chain_certificate_is_the_matrix_one(net, rows)
 
@@ -296,11 +323,15 @@ def test_chain_certificate_is_the_matrix_certificate(net, rows):
         RegularNetwork(300, (1.0,) * 300, single_exponent_series(1.0)),
         RegularNetwork(1000, (1.2,) * 500 + (1.0,) * 500, single_exponent_series(3.0)),
         RegularNetwork(2000, (1.0,) * 2000, build_cost_series([(0.5, 1.5), (0.5, 2.0)])),
+        PerturbedNetwork(
+            300, tuple(0.3 * math.sin(k) for k in range(300)), (1.0,) * 300,
+            build_cost_series([(0.4, 1.2), (0.6, 3.0)]),
+        ),
         # validation bypassed: a violated arc, then no nonnegative multiplier
         RegularNetwork(6, (1.0,) * 6, CostSeries(((1.0, 0.5),))),
         RegularNetwork(3, (1.0,) * 3, CostSeries(((1.0, 0.0),))),
     ],
-    ids=["n300-linear", "n1000-cubic", "n2000-two-term", "concave", "flat"],
+    ids=["n300-linear", "n1000-cubic", "n2000-two-term", "n300-shifted", "concave", "flat"],
 )
 def test_chain_certificate_is_the_matrix_certificate_on_fixed_chains(net, rows):
     _assert_chain_certificate_is_the_matrix_one(net, rows)
@@ -323,8 +354,3 @@ def test_block_merge_keeps_the_first_worst_arc_and_the_first_nan(monkeypatch, ro
     cert = check_dual(LpInstance(inst.volumes, costs), pi, mu)
     assert math.isnan(cert.slack) and cert.arc == (9, 4)
 
-
-def test_chain_certifier_refuses_a_shifted_chain():
-    net = PerturbedNetwork(3, (0.0, 0.2, 0.0), (1.0,) * 3, single_exponent_series(2.0))
-    with pytest.raises(ValueError, match="regular chain"):
-        certifier(net)

@@ -5,23 +5,28 @@ Usage: python tools/parity.py SRC
 
 Runs every op of the three benchmark workloads (bench/workloads.py, all
 input sets of seeds 1-3) in-process through chainlife.cli.main imported
-from SRC, the directory that holds the chainlife package.  Each op's exit
-code, stdout, stderr and output file are hashed, and one sha256 per
-workload is printed.  Three more fixed cases cover stability-d and verify
-beyond the workloads, one line each: ``stability-d --nodes all`` at n = 9, 300 and
-10^4 (cost 0.5 s + 0.5 s^2, unit volumes) in JSON and CSV, through
-cli.main as above; ``verify`` at n = 300, 1000 and 2000 (exponents 1,
-1.5, 2 and 3, unit volumes and two seeded unit-region draws) in JSON and
-CSV, whose certificates span many blocks of rows where the workloads'
-fit in one; and numeric_d_intervals over all nodes of 1,500 seeded
-random chains (see _corpus), called directly because half of them have
-volumes other than 1, hashing the repr of each chain's intervals or of
-its error.  Two trees with equal hashes give byte-identical results on
-every op and chain.  Inputs and outputs live in a temporary directory,
-entered as the working directory so that no path in a message differs
-between runs; bench/ is only imported.  A run takes about 5 s of CPU
-time (2-core AMD EPYC, Python 3.11.7); its wall time is mostly the
-creation of output files, and was 16 to 80 s on the disks tried.
+from SRC, the directory that holds the chainlife package.  Each op's
+exit code, stdout, stderr and output file are hashed, and one sha256 per
+workload is printed.  Three more fixed cases cover stability-d and
+verify beyond the workloads, one line each: ``stability-d --nodes all``
+at n = 9, 300 and 10^4 (cost 0.5 s + 0.5 s^2, unit volumes) in JSON and
+CSV, through cli.main as above; ``verify`` at n = 300, 1000 and 2000
+(exponents 1, 1.5, 2 and 3, unit volumes and two seeded unit-region
+draws) in JSON and CSV, whose certificates span many blocks of rows
+where the workloads' fit in one; and numeric_d_intervals over all nodes
+of 1,500 seeded random chains (see _corpus), called directly because
+half of them have volumes other than 1, hashing the repr of each chain's
+intervals or of its error.  Two more lines cover the LP: ``verify`` at
+n = 3 to 12 with a last volume of 0.01, whose rows outside the volume
+region are solved by HiGHS, in JSON and CSV through cli.main; and the
+bytes of ``oracle.formulate``'s cost matrix and its volumes on 203
+seeded regular and shifted chains (see _lp_corpus), called directly.
+Two trees with equal hashes give byte-identical results on every op and
+chain.  Inputs and outputs live in a temporary directory, entered as the
+working directory so that no path in a message differs between runs;
+bench/ is only imported.  A run takes about 6 s of CPU time (2-core AMD
+EPYC, Python 3.11.7); its wall time is mostly the creation of output
+files, and was 16 to 80 s on the disks tried.
 
 Given two directories, the script hashes each in a subprocess of its own,
 one after the other, and prints both hashes on each line with ``same`` or
@@ -47,6 +52,8 @@ SEEDS = (1, 2, 3)
 STABILITY_D_SIZES = (9, 300, 10_000)
 VERIFY_SIZES = (300, 1000, 2000)
 CORPUS_CHAINS = 1500
+OUTSIDE_SIZES = range(3, 13)
+LP_CHAINS = 200
 
 
 def _hash_op(cli, digest, name: str, fmt: str, argv: list[str]) -> None:
@@ -107,6 +114,54 @@ def _verify_hash(cli) -> tuple[str, int]:
         argv = ["verify", "--input", "suite.json", "--seed", "7"]
         _hash_op(cli, digest, f"verify-{fmt}", fmt, argv)
     return digest.hexdigest(), 2
+
+
+def _verify_outside_hash(cli) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    ops = 0
+    for n in OUTSIDE_SIZES:
+        suite = {"n_values": [n], "exponents": [1.0, 1.5, 2.0, 3.0],
+                 "volumes": [[1.0] * n, [1.0] * (n - 1) + [0.01]], "random_q": 0}
+        with open("suite.json", "w", encoding="utf-8") as handle:
+            json.dump(suite, handle)
+        for fmt in ("json", "csv"):
+            argv = ["verify", "--input", "suite.json"]
+            _hash_op(cli, digest, f"verify-outside-n{n}-{fmt}", fmt, argv)
+            ops += 1
+    return digest.hexdigest(), ops
+
+
+def _lp_corpus(chainlife, np):
+    """The chains of the LP line, drawn from default_rng(11).
+
+    LP_CHAINS chains of 1-60 nodes, every other one with about half its
+    nodes shifted by up to 0.45 either way, then regular chains of 300 and
+    1,000 nodes and a shifted one of 300; the cost is one term with
+    exponent 1-5 or two equal-weight terms with exponents 1-3 and 2-5, and
+    the volumes are drawn from [0.5, 2].
+    """
+    rng = np.random.default_rng(11)
+    kinds = [(int(rng.integers(1, 61)), k % 2 == 1) for k in range(LP_CHAINS)]
+    for n, shifted in kinds + [(300, False), (1000, False), (300, True)]:
+        if rng.random() < 0.5:
+            terms = [(1.0, float(rng.uniform(1.0, 5.0)))]
+        else:
+            terms = [(0.5, float(rng.uniform(1.0, 3.0))), (0.5, float(rng.uniform(2.0, 5.0)))]
+        shifts = (0.0,) * n
+        if shifted:
+            shifts = tuple(np.where(rng.random(n) < 0.5, rng.uniform(-0.45, 0.45, n), 0.0).tolist())
+        volumes = tuple(float(q) for q in rng.uniform(0.5, 2.0, n))
+        yield chainlife.PerturbedNetwork(n, shifts, volumes, chainlife.build_cost_series(terms))
+
+
+def _lp_hash(chainlife, np) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    chains = 0
+    for net in _lp_corpus(chainlife, np):
+        inst = chainlife.oracle.formulate(net)
+        digest.update(inst.costs.tobytes() + repr(inst.volumes).encode() + b"\0")
+        chains += 1
+    return digest.hexdigest(), chains
 
 
 def _corpus(chainlife, np):
@@ -196,8 +251,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"stability-d all nodes: {ops} ops sha256 {digest}")
         digest, ops = _verify_hash(cli)
         print(f"verify n {'/'.join(map(str, VERIFY_SIZES))}: {ops} ops sha256 {digest}")
+        digest, ops = _verify_outside_hash(cli)
+        print(f"verify outside region n 3-12: {ops} ops sha256 {digest}")
     digest, endpoints = _corpus_hash(chainlife, np)
     print(f"stability-d corpus: {CORPUS_CHAINS} chains, {endpoints} endpoints sha256 {digest}")
+    digest, chains = _lp_hash(chainlife, np)
+    print(f"LP formulate: {chains} chains sha256 {digest}")
     return 0
 
 
