@@ -1,11 +1,11 @@
 """Equal-energy flow splits of a sensor chain, their stability limits, and
-LP proofs that they are optimal.
+LP certificates that decide whether they are optimal.
 
-Exit codes: 0 success, 1 bad configuration or arguments, 2 volumes or
-shifts outside the feasible region (a routing flow went negative), 3
-verification failure or numerical breakdown.  verify also exits 3, with
-no error line, when any row is outside_region: it exits 0 only when
-every row is certified optimal.
+Exit codes: 0 success, 1 bad configuration or arguments, or an output that
+cannot be written, 2 volumes or shifts outside the feasible region (a
+routing flow went negative), 3 verification failure or numerical
+breakdown.  verify also exits 3, with no error line, when any row is
+outside_region: it exits 0 only when every row is certified optimal.
 """
 from __future__ import annotations
 
@@ -101,10 +101,16 @@ def _write(args, parts: Iterable[str]) -> None:
     A document that fails while it streams leaves no output file: the file
     is closed and removed, unless it is not a regular file (a device such as
     /dev/null, or a link), and the error raised again, an OSError as a
-    ConfigError.  A file that cannot be opened is a ConfigError too.
+    ConfigError.  A file that cannot be opened is a ConfigError too, and so
+    is stdout that cannot be written or flushed, a pipe whose reader has
+    gone included.
     """
     if not args.output:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _cannot_write("stdout", exc) from None
         return
     try:
         handle = open(args.output, "w", encoding="utf-8", newline="")
@@ -272,9 +278,7 @@ def _load_suite(path: str | None) -> dict:
     doc = docs.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("suite config must be an object")
-    for key in doc:
-        if key not in _SUITE_DEFAULTS:
-            raise ConfigError(f"suite key {key!r} is not one of {', '.join(_SUITE_DEFAULTS)}")
+    docs._known_keys(doc, _SUITE_DEFAULTS, "suite")
     return {**_SUITE_DEFAULTS, **doc}
 
 

@@ -1,23 +1,26 @@
-"""Superadditive transmission-cost model for nodes on a line.
+"""Transmission-cost model for nodes on a line.
 
 The energy to send one unit of data over distance ``s`` is a finite power
-series ``sum_k lam_k * s**a_k`` with nonnegative coefficients, exponents
-``a_k >= 1``, and ``sum_k lam_k = 1``.  Under those constraints the cost of a
-unit hop is exactly 1 and the cost is superadditive on ordered collinear
-triples: splitting a transmission at an intermediate node never costs more
-than the long hop.  Both facts are what make multi-hop routing toward a single
-collector worthwhile, and both are validated here.
+series ``sum_k lam_k * s**a_k``.  :func:`build_cost_series` checks what it
+accepts: finite coefficients lam_k >= 0, finite exponents a_k >= 1, and
+sum_k lam_k = 1, so that a unit hop costs exactly 1.  It checks nothing
+about optimality.  Such a cost is convex with c(0) = 0, hence superadditive,
+yet that does not make the equal-energy split optimal: with cost
+0.9 s + 0.1 s^3 on three unit-spaced nodes at unit volumes the split spends
+271/117 per node, while a flow that relays node 3 through node 1 spends
+99/43.  Whether a chain's split is optimal is decided per chain by the dual
+certificate of :func:`chainlife.oracle.certifier`, which refutes that split
+on arc (3, 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ChainlifeError, ExponentBelowOne, NegativeCoefficient, NotNormalized
 
 NORMALIZATION_TOL = 1e-12
-SUPERADDITIVITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,36 +158,6 @@ def cost_function(series: CostSeries) -> Callable[[float, float], float]:
 def unit_hop_costs(series: CostSeries, n: int) -> list[float]:
     """Costs of integer-length hops: entry r is the cost of distance r, entry 0 is 0."""
     return [transmission_cost(series, 0.0, float(r)) for r in range(n + 1)]
-
-
-class SuperadditivityViolation(NamedTuple):
-    i: int
-    j: int
-    k: int
-    excess: float
-
-
-def check_superadditivity(
-    series: CostSeries, positions: Positions, tol: float = SUPERADDITIVITY_TOL
-) -> list[SuperadditivityViolation]:
-    """Enumerate ordered triples where splitting a hop costs more than the long hop.
-
-    Returns an empty list for every series accepted by build_cost_series; a
-    nonempty result means the series was constructed with validation bypassed.
-    """
-    x = positions.x
-    m = len(x)
-    out: list[SuperadditivityViolation] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            left = transmission_cost(series, x[i], x[j])
-            for k in range(j + 1, m):
-                excess = left + transmission_cost(series, x[j], x[k]) - transmission_cost(
-                    series, x[i], x[k]
-                )
-                if excess > tol:
-                    out.append(SuperadditivityViolation(i, j, k, excess))
-    return out
 
 
 def series_to_terms(series: CostSeries) -> list[dict[str, float]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterator, Sequence
+from typing import Any, Collection, Iterator, Sequence
 
 from .cost import CostSeries, build_cost_series, series_to_terms
 from .errors import ChainlifeError, ConfigError
@@ -74,9 +74,17 @@ def _reals(values: list, name: str) -> tuple[float, ...]:
     return tuple(_real(value, f"{name}[{k}]") for k, value in enumerate(values))
 
 
+def _known_keys(doc: dict, keys: Collection[str], where: str) -> None:
+    """Refuse a key of ``doc`` outside ``keys``, which no pass would read."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where} key {key!r} is not one of {', '.join(keys)}")
+
+
 def parse_cost(doc: Any) -> CostSeries:
     if not isinstance(doc, dict):
         raise ConfigError("cost must be an object with a terms list")
+    _known_keys(doc, ("terms", "auto_normalize"), "cost")
     terms = doc.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ConfigError("cost.terms must be a nonempty list")
@@ -84,6 +92,7 @@ def parse_cost(doc: Any) -> CostSeries:
     for k, term in enumerate(terms):
         if not isinstance(term, dict) or "lambda" not in term or "exponent" not in term:
             raise ConfigError(f"cost.terms[{k}] needs lambda and exponent")
+        _known_keys(term, ("lambda", "exponent"), f"cost.terms[{k}]")
         pairs.append(
             (_real(term["lambda"], f"cost.terms[{k}].lambda"),
              _real(term["exponent"], f"cost.terms[{k}].exponent"))
@@ -101,6 +110,7 @@ def parse_network(doc: Any) -> PerturbedNetwork:
     """Chain from a config document; without shifts it is the regular chain."""
     if not isinstance(doc, dict):
         raise ConfigError("network config must be an object")
+    _known_keys(doc, ("n", "volumes", "cost", "shifts"), "network")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("n must be a positive integer")

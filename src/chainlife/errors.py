@@ -15,7 +15,7 @@ class NegativeCoefficient(ChainlifeError):
 
 
 class ExponentBelowOne(ChainlifeError):
-    """A cost series exponent is below one, breaking superadditivity."""
+    """A cost series exponent is below one or not finite; build_cost_series needs a >= 1."""
 
 
 class NotNormalized(ChainlifeError):

@@ -148,9 +148,17 @@ def certifier(net) -> Callable[[Sequence[float]], Certificate]:
     (Chang and Tassiulas, IEEE/ACM ToN 12(4), 2004) the bound is at most the
     LP optimum when the worst slack is not positive, at any node positions,
     so a bound equal to a feasible flow's worst energy proves that flow
-    optimal.  When some hop to the left neighbour costs at least the direct
-    arc (a cost series that is not superadditive), no nonnegative multiplier
-    exists: every certificate reports infinite slack on that hop and bound 0.
+    optimal.  Wherever the split is feasible the test is exact: with all
+    2n - 1 support flows positive, complementary slackness leaves this point
+    as the only candidate for an optimal dual point, so the split is optimal
+    exactly when the slack is at most DEFAULT_VERIFY_TOL.  The point is free
+    of Q, so that verdict holds for every volume vector inside the feasible
+    region, or for none.  A valid cost series can fail it: with cost
+    0.9 s + 0.1 s^3 on three unit-spaced nodes the slack is 2/117 on arc
+    (3, 1), and a flow that spends 99/43 per node beats the split's 271/117.
+    When some hop to the left neighbour costs at least the direct arc
+    (L_i >= D_i, as under a flat cost), no nonnegative multiplier exists:
+    every certificate reports infinite slack on that hop and bound 0.
 
     D and L are the chain's own (net.costs), and the arcs are judged on
     _arc_rows(net) a block of rows at a time, with no LP matrix.  The

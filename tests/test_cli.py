@@ -594,6 +594,26 @@ def test_verify_rejects_unknown_suite_keys(write_config, capsys, key):
     _assert_one_error_line(capsys, f"suite key {key!r} is not one of")
 
 
+@pytest.mark.parametrize(
+    "where, key, edit",
+    [
+        ("network", "shift", lambda doc: doc.update(shift=[0, 0.3, 0])),
+        ("network", "batteries", lambda doc: doc.update(batteries=[1, 2, 1])),
+        ("cost", "offset", lambda doc: doc["cost"].update(offset=0.5)),
+        ("cost.terms[0]", "weight", lambda doc: doc["cost"]["terms"][0].update(weight=2)),
+    ],
+    ids=["network-shift", "network-batteries", "cost-offset", "term-weight"],
+)
+@pytest.mark.parametrize("command", ["solve-regular", "stability-q"])
+def test_network_config_rejects_unknown_keys(write_config, capsys, command, where, key, edit):
+    # a key no pass reads is an error, not ignored: a misspelt "shift" would
+    # otherwise solve the regular chain and exit 0
+    doc = quadratic_chain(3)
+    edit(doc)
+    assert main([command, "--input", write_config("net.json", doc)]) == 1
+    _assert_one_error_line(capsys, f"{where} key {key!r} is not one of")
+
+
 def test_help_names_the_exit_codes_and_no_benchmark_figures(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
@@ -1269,6 +1289,18 @@ def test_volume_sweep_energy_matches_the_closed_form(write_config, capsys):
             assert row["common_energy"] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+def test_stdout_that_cannot_be_written_is_one_error_line(write_config, capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    closed = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(["solve-regular", "--input", write_config("net.json", quadratic_chain(2))]) == 1
+    assert sys.stdout is closed  # an in-process caller keeps its stdout
+    _assert_one_error_line(capsys, "cannot write stdout: Broken pipe")
+
+
 def _child_env() -> dict:
     # the child imports the same chainlife as this test, installed or not
     src = os.path.dirname(os.path.dirname(chainlife.__file__))
@@ -1286,6 +1318,23 @@ def test_module_entry_point(write_config, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["common_energy"] == 1.75
+
+
+def test_a_closed_stdout_pipe_is_one_error_line():
+    # the reader is gone before the first write: no traceback, and no
+    # second message from the interpreter's flush at exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainlife", "verify", "--format", "csv"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
 
 
 def _extreme_reals(extremes, lo: float, hi: float):

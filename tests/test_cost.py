@@ -1,4 +1,4 @@
-"""Cost-model validation: normalization, superadditivity, hop costs."""
+"""Cost-model validation: normalization, hop costs."""
 from __future__ import annotations
 
 import math
@@ -13,9 +13,7 @@ from chainlife import (
     ExponentBelowOne,
     NegativeCoefficient,
     NotNormalized,
-    Positions,
     build_cost_series,
-    check_superadditivity,
     single_exponent_series,
     transmission_cost,
     unit_hop_costs,
@@ -97,27 +95,6 @@ def test_cost_is_symmetric_and_monotone():
 def test_unit_hop_costs_table():
     series = single_exponent_series(2.0)
     assert unit_hop_costs(series, 4) == [0.0, 1.0, 4.0, 9.0, 16.0]
-
-
-@given(term_lists, st.integers(min_value=2, max_value=6))
-@settings(max_examples=150, deadline=None)
-def test_valid_series_is_superadditive_on_chains(terms, n):
-    series = build_cost_series(terms, auto_normalize=True)
-    assert check_superadditivity(series, Positions.regular(n)) == []
-
-
-def test_valid_series_is_superadditive_off_grid():
-    series = build_cost_series([(0.3, 1.0), (0.4, 1.7), (0.3, 3.2)])
-    positions = Positions((0.0, 0.4, 1.1, 2.9, 3.0))
-    assert check_superadditivity(series, positions) == []
-
-
-def test_subadditive_series_is_reported():
-    # exponent below 1 must be built unvalidated to reach the checker
-    broken = CostSeries(((1.0, 0.5),))
-    violations = check_superadditivity(broken, Positions.regular(3))
-    assert violations
-    assert all(v.excess > 0 for v in violations)
 
 
 def _poisson_weight_family(k: int, gamma: float = 0.5, alpha: float = 2.0) -> CostSeries:

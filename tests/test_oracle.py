@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainlife import (
@@ -256,7 +257,7 @@ def test_check_dual_refuses_a_corrupted_point():
     assert bad.slack > 0.01
 
 
-def test_certificate_refuses_costs_that_are_not_superadditive():
+def test_certificate_refuses_a_concave_and_a_flat_cost():
     # validation bypassed: sqrt(s) makes relaying through node 3 pay off
     concave = certify(formulate(RegularNetwork(6, (1.0,) * 6, CostSeries(((1.0, 0.5),)))))
     assert concave.arc == (6, 3)
@@ -265,6 +266,112 @@ def test_certificate_refuses_costs_that_are_not_superadditive():
     flat = certify(formulate(RegularNetwork(3, (1.0,) * 3, CostSeries(((1.0, 0.0),)))))
     assert flat.arc == (2, 1)
     assert flat.slack == float("inf")
+
+
+def _exact_energies(flow: dict, volumes, cost) -> list[Fraction]:
+    """Each node's energy under ``flow`` ({(i, j): amount}), once it conserves exactly."""
+    n = len(volumes)
+    for i in range(1, n + 1):
+        sent = sum(q for (k, _), q in flow.items() if k == i)
+        received = sum(q for (_, k), q in flow.items() if k == i)
+        assert sent == volumes[i - 1] + received
+    return [
+        sum(q * cost(abs(k - j)) for (k, j), q in flow.items() if k == i)
+        for i in range(1, n + 1)
+    ]
+
+
+def test_an_accepted_series_whose_split_is_not_optimal():
+    # 0.9 s + 0.1 s^3 passes build_cost_series and is superadditive, yet
+    # node 3 relaying through node 1 beats the equal-energy split
+    def cost(s: int) -> Fraction:
+        return Fraction(9, 10) * s + Fraction(1, 10) * s**3
+
+    net = RegularNetwork(3, (1.0,) * 3, build_cost_series([(0.9, 1.0), (0.1, 3.0)]))
+    ones = (Fraction(1),) * 3
+    split = {(1, 0): 271, (2, 0): 45, (2, 1): 154, (3, 0): 35, (3, 2): 82}
+    split = {arc: Fraction(q, 117) for arc, q in split.items()}
+    assert _exact_energies(split, ones, cost) == [Fraction(271, 117)] * 3
+    better = {(1, 0): 99, (2, 0): 30, (2, 1): 21, (3, 1): 35, (3, 2): 8}
+    better = {arc: Fraction(q, 43) for arc, q in better.items()}
+    assert _exact_energies(better, ones, cost) == [Fraction(99, 43)] * 3
+    assert Fraction(99, 43) < Fraction(271, 117)
+
+    sol = flow_closed_form(net)
+    assert sol.common_energy == pytest.approx(271 / 117, rel=1e-15)
+    for arc, q in split.items():
+        assert sol.flow.amount(*arc) == pytest.approx(float(q), rel=1e-14)
+    cert = certifier(net)(net.volumes)
+    assert cert.arc == (3, 1)
+    assert cert.slack == pytest.approx(2 / 117, rel=1e-12)
+    assert not cert.proves(sol.common_energy)
+    assert solve(formulate(net)).value == pytest.approx(99 / 43, rel=1e-12)
+
+
+@st.composite
+def feasible_chains(draw):
+    """A chain of 1-8 nodes whose equal-energy split is physical: one to four
+    accepted terms, exponents 1-5, volumes 1-1.5, half of the chains shifted."""
+    n = draw(st.integers(1, 8))
+    term = st.tuples(st.floats(0.05, 5.0), st.floats(1.0, 5.0))
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    series = build_cost_series(terms, auto_normalize=True)
+    volumes = draw(st.lists(st.floats(1.0, 1.5), min_size=n, max_size=n))
+    shifts = [0.0] * n
+    if draw(st.booleans()):
+        shift = st.one_of(st.just(0.0), st.floats(-0.45, 0.45))
+        shifts = draw(st.lists(shift, min_size=n, max_size=n))
+    net = PerturbedNetwork(n, tuple(shifts), tuple(volumes), series)
+    try:
+        flow_closed_form(net)
+    except NegativeFlow:
+        assume(False)
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=feasible_chains())
+@example(net=RegularNetwork(3, (1.0,) * 3, build_cost_series([(0.9, 1.0), (0.1, 3.0)])))
+def test_certificate_verdict_is_the_lp_verdict(net):
+    # exact wherever the split is feasible: refuted exactly when HiGHS beats it
+    energy = flow_closed_form(net).common_energy
+    refuted = not certifier(net)(net.volumes).proves(energy)
+    assert refuted == (solve(formulate(net)).value < energy - 1e-9)
+
+
+def _offset_chain(n: int, alpha: float, a: float) -> RegularNetwork:
+    # validation bypassed: cost alpha + s^a for s > 0, a constant per transmission
+    return RegularNetwork(n, (1.0,) * n, CostSeries(((alpha, 0.0), (1.0, a))))
+
+
+@pytest.mark.parametrize("a, threshold", [(2.0, 4 / 5), (3.0, 30 / 19)])
+def test_offset_threshold_of_the_certificate(a, threshold):
+    # on three nodes the certificate holds up to alpha*, where arc (3, 1) starts to pay
+    def refuted(alpha: float) -> bool:
+        # the support arcs' slacks are rounding, either side of 0
+        cert = certifier(_offset_chain(3, alpha, a))((1.0,) * 3)
+        return cert.slack > 0.0 and cert.arc == (3, 1)
+
+    lo, hi = 0.0, 10.0
+    assert not refuted(lo) and refuted(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refuted(mid) else (mid, hi)
+    assert abs(lo - threshold) <= 1e-9 and abs(hi - threshold) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 10.0), a=st.floats(1.0, 5.0))
+@example(alpha=0.5, a=2.0)
+@example(alpha=1.0, a=2.0)
+def test_three_node_closed_form_is_the_verdict_on_arc_3_1(alpha, a):
+    # arc (3, 1) holds iff D_2 (D_3 - D_2) <= (D_2 - D_1)(D_3 - D_1); no other arc can fail
+    net = _offset_chain(3, alpha, a)
+    _, d1, d2, d3 = net.costs[0]
+    lhs, rhs = d2 * (d3 - d2), (d2 - d1) * (d3 - d1)
+    assume(abs(lhs - rhs) > 1e-9 * rhs)  # at equality rounding decides
+    cert = certifier(net)(net.volumes)
+    assert (cert.slack > 0.0 and cert.arc == (3, 1)) == (lhs > rhs)
 
 
 def _rows_per_block(monkeypatch, rows: int | None, n: int) -> None:
